@@ -63,30 +63,8 @@ class SuffixAutomaton:
         self.last = last
 
     @property
-    def initial(self) -> _State:
-        return self.states[0]
-
-    @property
     def state_count(self) -> int:
         return len(self.states)
-
-    @property
-    def transition_count(self) -> int:
-        return sum(len(st.trans) for st in self.states)
-
-    def accepts(self, word: str) -> bool:
-        """True iff ``word`` is a substring of the subject (empty word included)."""
-        node = self.states[0]
-        for ch in word:
-            nxt = node.trans.get(ch)
-            if nxt is None:
-                return False
-            node = nxt
-        return True
-
-
-def build_automaton(subject: str) -> SuffixAutomaton:
-    return SuffixAutomaton(subject)
 
 
 def enumerate_maws_fast(subject: str, alphabet: Alphabet) -> MawSet:

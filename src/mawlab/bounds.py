@@ -92,11 +92,6 @@ def bound_binary_append(d: int) -> int:
     return max(3, d)
 
 
-def bound_general_delete(d: int, sigma_window: int) -> int:
-    """sigma_window + d + 1 with both quantities taken on the shrunken window."""
-    return sigma_window + d + 1
-
-
 def bound_total(n: int, d: int, sigma: int) -> int:
     """Certified cap on the total sliding change S(T, d).
 
@@ -120,8 +115,9 @@ def check_step(report: DeltaReport, sigma_global: int) -> tuple[BoundVerdict, ..
     verdicts: list[BoundVerdict] = []
 
     if report.direction == "delete":
+        # Same formula as the append side, with d and sigma_window taken on the shrunken window.
         verdicts.append(
-            BoundVerdict.make(BoundId.GENERAL_DELETE, bound_general_delete(d, report.sigma_window), delta)
+            BoundVerdict.make(BoundId.GENERAL_DELETE, bound_general_append(d, report.sigma_window), delta)
         )
         verdicts.append(
             BoundVerdict.make(BoundId.PRIOR_CROCHEMORE_DELETE, bound_prior_delete(report.stats, sigma_global), delta)

@@ -20,7 +20,7 @@ from . import __version__
 from .core import Alphabet, InputError
 from .bounds import BoundId, check_step, check_totals
 from .families import generate, measure
-from .slide import MawEngine, append_delta, delete_delta, slide_totals
+from .slide import MawEngine, SlideSummary, slide_steps
 from .verify import PRESETS, CampaignConfig, run_exhaustive, run_random
 
 EXIT_OK = 0
@@ -44,9 +44,12 @@ def _read_text(args: argparse.Namespace) -> str:
     if args.file is not None:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
-                return fh.read().rstrip("\n")
+                text = fh.read().rstrip("\n")
         except OSError as exc:
             raise InputError(f"cannot read {args.file}: {exc}") from None
+        if "\n" in text or "\r" in text:
+            raise InputError(f"{args.file} has a line break inside its text; give one line")
+        return text
     if args.text is None:
         raise InputError("provide TEXT or --file")
     return args.text
@@ -105,20 +108,17 @@ def _cmd_maw(args: argparse.Namespace) -> int:
 def _cmd_slide(args: argparse.Namespace) -> int:
     text = _read_text(args)
     alphabet = _resolve_alphabet(args, text)
-    engine = MawEngine(alphabet, _resolve_engine(args.engine))
-    summary = slide_totals(text, args.window, alphabet, engine)
-    totals_verdicts = check_totals(summary, alphabet.size)
+    sigma = alphabet.size
 
+    sigma_max = 0
     rows: list[dict] = []
     steps_payload: list[dict] = []
-    all_ok = all(v.satisfied for v in totals_verdicts)
-    sigma = alphabet.size
-    for i, fused in enumerate(summary.per_step):
-        window = text[i : i + args.window]
-        ap = append_delta(window, text[i + args.window], alphabet, engine)
+    all_ok = True
+    steps = slide_steps(text, args.window, alphabet, _resolve_engine(args.engine))
+    for i, (fused, ap, de) in enumerate(steps):
         ap = ap.with_verdicts(check_step(ap, sigma))
-        de = delete_delta(text[i : i + args.window + 1], alphabet, engine)
         de = de.with_verdicts(check_step(de, sigma))
+        sigma_max = max(sigma_max, ap.sigma_window, de.sigma_window)
         m1, m2, m3 = ap.type_counts
         row: dict = {
             "step_index": i,
@@ -143,6 +143,8 @@ def _cmd_slide(args: argparse.Namespace) -> int:
                 {"step_index": i, "fused_delta": fused, "append": ap.to_payload(), "delete": de.to_payload()}
             )
 
+    summary = SlideSummary.of(len(text), args.window, (r["delta"] for r in rows), sigma_max)
+    totals_verdicts = check_totals(summary, sigma)
     payload = summary.to_payload()
     payload["totals_verdicts"] = [v.to_payload() for v in totals_verdicts]
     payload["table_columns"] = _SLIDE_COLUMNS
@@ -154,7 +156,7 @@ def _cmd_slide(args: argparse.Namespace) -> int:
     if args.per_step:
         lines += [f"step {r['step_index']}: delta={r['delta']}" for r in rows]
     _emit(args, payload, alphabet.as_str(), lines)
-    return EXIT_OK if all_ok else EXIT_FALSIFIED
+    return EXIT_OK if all_ok and all(v.satisfied for v in totals_verdicts) else EXIT_FALSIFIED
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -89,32 +89,6 @@ class Alphabet:
 
 
 @dataclass(frozen=True)
-class Window:
-    """Half-open view ``text[start : start + length]`` of a text."""
-
-    text: str
-    start: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise InputError("window length must be >= 1")
-        if self.start < 0 or self.start + self.length > len(self.text):
-            raise InputError(
-                f"window [{self.start}, {self.start + self.length}) out of range "
-                f"for text of length {len(self.text)}"
-            )
-
-    @property
-    def content(self) -> str:
-        return self.text[self.start : self.start + self.length]
-
-    @property
-    def end(self) -> int:
-        return self.start + self.length
-
-
-@dataclass(frozen=True)
 class WindowStats:
     """Repetition statistics of one window.
 

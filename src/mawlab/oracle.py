@@ -42,9 +42,6 @@ class MawSet:
     def __iter__(self):
         return iter(self.words)
 
-    def __contains__(self, word: object) -> bool:
-        return word in set(self.words)
-
     def as_set(self) -> frozenset[str]:
         return frozenset(self.words)
 

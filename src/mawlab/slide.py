@@ -12,16 +12,18 @@ every step rather than assumed:
   its long prefix in S, and that end is never the last window position (nor
   the first one when the extended window uses only two symbols).
 
-Deletes are computed by the reversal reduction: reverse, run the append
-analysis, reverse every reported word.  Type labels on a delete report are
-therefore mirrored, with prefix and suffix roles swapped.
+Deletes are computed by the reversal reduction, which rests on
+MAW(reverse S) = reverse(MAW(S)): the append analysis runs on the reversed
+window with the reversed words of the two forward MAW sets, and every reported
+word is reversed back.  Type labels on a delete report are therefore mirrored,
+with prefix and suffix roles swapped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import (
     Alphabet,
@@ -52,33 +54,35 @@ _ENUMERATORS = {
 }
 
 
+def _enumerator(engine: str | MawEngine, alphabet: Alphabet) -> Callable[[str], tuple[str, ...]]:
+    """MAW words of a subject: a caller's engine keeps its memo, an engine name gets none."""
+    if isinstance(engine, MawEngine):
+        if engine.alphabet.symbols != alphabet.symbols:
+            raise ConsistencyError("engine alphabet does not match the requested alphabet")
+        return engine.words
+    if engine not in _ENUMERATORS:
+        raise InputError(f"unknown engine {engine!r}; expected one of {sorted(_ENUMERATORS)}")
+    enumerate_ = _ENUMERATORS[engine]
+    return lambda subject: enumerate_(subject, alphabet).words
+
+
 class MawEngine:
     """Cached MAW enumeration for one alphabet with a selectable backend."""
 
     def __init__(self, alphabet: Alphabet, engine: str = "automaton") -> None:
-        if engine not in _ENUMERATORS:
-            raise InputError(f"unknown engine {engine!r}; expected one of {sorted(_ENUMERATORS)}")
         self.alphabet = alphabet
         self.engine = engine
-        self._enumerate = _ENUMERATORS[engine]
+        self._enumerate = _enumerator(engine, alphabet)
         self._cache: dict[str, tuple[str, ...]] = {}
 
     def words(self, subject: str) -> tuple[str, ...]:
         got = self._cache.get(subject)
         if got is None:
-            got = self._cache[subject] = self._enumerate(subject, self.alphabet).words
+            got = self._cache[subject] = self._enumerate(subject)
         return got
 
     def maw_set(self, subject: str) -> MawSet:
         return MawSet(len(subject), self.alphabet, self.words(subject))
-
-
-def _as_engine(engine: str | MawEngine, alphabet: Alphabet) -> MawEngine:
-    if isinstance(engine, MawEngine):
-        if engine.alphabet is not alphabet and engine.alphabet.symbols != alphabet.symbols:
-            raise ConsistencyError("engine alphabet does not match the requested alphabet")
-        return engine
-    return MawEngine(alphabet, engine)
 
 
 @dataclass(frozen=True)
@@ -209,22 +213,14 @@ def type3_injection(m3: list[str] | tuple[str, ...], pre_window: str) -> dict[st
     return mapping
 
 
-def append_delta(
-    window: str,
-    alpha: str,
-    alphabet: Alphabet,
-    engine: str | MawEngine = "automaton",
+def _append_report(
+    window: str, alpha: str, before: Iterable[str], after: Iterable[str], stats: WindowStats | None = None
 ) -> DeltaReport:
-    """Delta report for appending ``alpha`` to ``window``."""
-    if not window:
-        raise InputError("append step needs a non-empty window")
-    alphabet.require_text(window)
-    alphabet.require_symbol(alpha)
-    eng = _as_engine(engine, alphabet)
+    """Report for appending ``alpha`` to ``window``, from the words of MAW(window) and MAW(window + alpha).
 
-    extended = window + alpha
-    before_set = set(eng.words(window))
-    after_set = set(eng.words(extended))
+    ``stats`` defaults to the window's own stats with ``alpha`` as next symbol.
+    """
+    before_set, after_set = set(before), set(after)
     deleted = canonical_words(before_set - after_set)
     added = canonical_words(after_set - before_set)
     if len(deleted) != 1:
@@ -237,21 +233,61 @@ def append_delta(
     for word in added:
         buckets[classify_added(word, window)].append(word)
     by_type = {t: canonical_words(ws) for t, ws in buckets.items()}
-    witness = type3_injection(by_type[MawType.TYPE3], window)
 
     return DeltaReport(
         direction="append",
         before=window,
-        after=extended,
+        after=window + alpha,
         d=len(window),
         sigma_window=len(set(window)),
         sigma_ext=len(set(window) | {alpha}),
         deleted=deleted,
         added=added,
         added_by_type=by_type,
-        injection_witness=witness,
-        stats=window_stats(window, next_sym=alpha),
+        injection_witness=type3_injection(by_type[MawType.TYPE3], window),
+        stats=stats or window_stats(window, next_sym=alpha),
     )
+
+
+def _reversed_words(words: Iterable[str]) -> tuple[str, ...]:
+    return canonical_words(w[::-1] for w in words)
+
+
+def _delete_report(window: str, before: Iterable[str], after: Iterable[str]) -> DeltaReport:
+    """Report for deleting ``window[0]``, from the words of MAW(window) and MAW(window[1:]).
+
+    The mirror appends ``window[0]`` to the reversed shrunken window; its d,
+    sigma counts and the given prefix-side stats carry over unchanged.
+    """
+    beta, kept = window[0], window[1:]
+    mirror = _append_report(
+        kept[::-1], beta, (w[::-1] for w in after), (w[::-1] for w in before), window_stats(kept, prev_sym=beta)
+    )
+    return replace(
+        mirror,
+        direction="delete",
+        before=window,
+        after=kept,
+        deleted=_reversed_words(mirror.added),
+        added=_reversed_words(mirror.deleted),
+        added_by_type={t: _reversed_words(ws) for t, ws in mirror.added_by_type.items()},
+        injection_witness={w[::-1]: len(kept) - 1 - e for w, e in mirror.injection_witness.items()},
+    )
+
+
+def append_delta(
+    window: str,
+    alpha: str,
+    alphabet: Alphabet,
+    engine: str | MawEngine = "automaton",
+) -> DeltaReport:
+    """Delta report for appending ``alpha`` to ``window``."""
+    if not window:
+        raise InputError("append step needs a non-empty window")
+    alphabet.require_text(window)
+    alphabet.require_symbol(alpha)
+    words = _enumerator(engine, alphabet)
+    return _append_report(window, alpha, words(window), words(window + alpha))
 
 
 def delete_delta(
@@ -261,34 +297,16 @@ def delete_delta(
 ) -> DeltaReport:
     """Delta report for deleting the leftmost character of ``window``.
 
-    Computed by the reversal reduction.  The reported injection witness maps
-    each mirrored Type-3 word to the 0-based start of the rightmost occurrence
-    of ``word[1:]`` in the shrunken window.
+    Computed by the reversal reduction on the forward MAW sets of ``window``
+    and ``window[1:]``.  The reported injection witness maps each mirrored
+    Type-3 word to the 0-based start of the rightmost occurrence of
+    ``word[1:]`` in the shrunken window.
     """
     if len(window) < 2:
         raise InputError("delete step needs a window of length >= 2")
     alphabet.require_text(window)
-    eng = _as_engine(engine, alphabet)
-
-    beta, kept = window[0], window[1:]
-    mirror = append_delta(kept[::-1], beta, alphabet, eng)
-
-    d = len(kept)
-    return DeltaReport(
-        direction="delete",
-        before=window,
-        after=kept,
-        d=d,
-        sigma_window=len(set(kept)),
-        sigma_ext=len(set(window)),
-        deleted=canonical_words(w[::-1] for w in mirror.added),
-        added=canonical_words(w[::-1] for w in mirror.deleted),
-        added_by_type={
-            t: canonical_words(w[::-1] for w in ws) for t, ws in mirror.added_by_type.items()
-        },
-        injection_witness={w[::-1]: d - 1 - e for w, e in mirror.injection_witness.items()},
-        stats=window_stats(kept, prev_sym=beta),
-    )
+    words = _enumerator(engine, alphabet)
+    return _delete_report(window, words(window), words(window[1:]))
 
 
 @dataclass(frozen=True)
@@ -305,6 +323,11 @@ class SlideSummary:
         if self.total != sum(self.per_step):
             raise ConsistencyError("total must equal the sum of per-step sizes")
 
+    @classmethod
+    def of(cls, text_length: int, d: int, per_step: Iterable[int], sigma_max_window: int) -> "SlideSummary":
+        steps = tuple(per_step)
+        return cls(text_length, d, steps, sum(steps), sigma_max_window)
+
     def to_payload(self) -> dict:
         return {
             "n": self.text_length,
@@ -319,6 +342,13 @@ class SlideSummary:
         }
 
 
+def _check_slide(text: str, d: int, alphabet: Alphabet) -> None:
+    n = len(text)
+    if not 1 <= d < n:
+        raise InputError(f"window length must satisfy 1 <= d < n, got d={d}, n={n}")
+    alphabet.require_text(text)
+
+
 def slide_totals(
     text: str,
     d: int,
@@ -326,27 +356,47 @@ def slide_totals(
     engine: str | MawEngine = "automaton",
 ) -> SlideSummary:
     """Sizes of MAW(T[i..i+d)) symmetric-difference MAW(T[i+1..i+d+1)) for all i."""
-    n = len(text)
-    if not 1 <= d < n:
-        raise InputError(f"window length must satisfy 1 <= d < n, got d={d}, n={n}")
-    alphabet.require_text(text)
-    eng = _as_engine(engine, alphabet)
+    _check_slide(text, d, alphabet)
+    words = _enumerator(engine, alphabet)
 
-    sigma_max = 0
-    prev = set(eng.words(text[:d]))
-    sigma_max = max(sigma_max, len(set(text[:d])))
+    n = len(text)
+    prev = set(words(text[:d]))
+    sigma_max = len(set(text[:d]))
     sizes: list[int] = []
     for i in range(1, n - d + 1):
         window = text[i : i + d]
         sigma_max = max(sigma_max, len(set(window)))
-        cur = set(eng.words(window))
+        cur = set(words(window))
         sizes.append(len(prev ^ cur))
         prev = cur
 
-    return SlideSummary(
-        text_length=n,
-        d=d,
-        per_step=tuple(sizes),
-        total=sum(sizes),
-        sigma_max_window=sigma_max,
-    )
+    return SlideSummary.of(n, d, sizes, sigma_max)
+
+
+def slide_steps(
+    text: str,
+    d: int,
+    alphabet: Alphabet,
+    engine: str | MawEngine = "automaton",
+) -> Iterator[tuple[int, DeltaReport, DeltaReport]]:
+    """Yield ``(fused size, append report, delete report)`` for every step of a slide.
+
+    Step i appends to W_i = ``text[i : i + d]`` and deletes the leftmost
+    character of E_i = ``text[i : i + d + 1]``.  MAW(W_{i+1}) is carried to
+    the next step, so each string is enumerated once and only one step's sets
+    are held.
+    """
+    _check_slide(text, d, alphabet)
+    words = _enumerator(engine, alphabet)
+
+    cur = set(words(text[:d]))
+    for i in range(len(text) - d):
+        extended = text[i : i + d + 1]
+        ext = set(words(extended))
+        nxt = set(words(extended[1:]))
+        yield (
+            len(cur ^ nxt),
+            _append_report(extended[:-1], extended[-1], cur, ext),
+            _delete_report(extended, ext, nxt),
+        )
+        cur = nxt

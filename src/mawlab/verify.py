@@ -2,8 +2,9 @@
 
 A campaign walks a space of (window, appended-symbol) steps, evaluates every
 applicable bound verdict, asserts the structural step invariants, optionally
-cross-checks the two enumeration engines and the delete-direction reduction,
-and aggregates everything into a reproducible report.  Any violation becomes a
+cross-checks the two enumeration engines and the reversal identity
+MAW(reverse S) = reverse(MAW(S)) that the delete reduction rests on, and
+aggregates everything into a reproducible report.  Any violation becomes a
 falsification record carrying a witness string; campaigns themselves never
 raise on a falsification.
 
@@ -20,7 +21,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import Alphabet, ConsistencyError, InputError, TheoremViolationError
 from .bounds import BoundVerdict, check_step
@@ -90,7 +91,10 @@ class CampaignConfig:
             sig = kwargs["sigmas"]
             if not isinstance(sig, (list, tuple)):
                 raise InputError("sigmas must be a list")
-            kwargs["sigmas"] = tuple(int(s) for s in sig)
+            try:
+                kwargs["sigmas"] = tuple(int(s) for s in sig)
+            except (TypeError, ValueError):
+                raise InputError(f"sigmas must be a list of integers, got {sig!r}") from None
         try:
             return cls(**kwargs)
         except TypeError as exc:
@@ -122,21 +126,29 @@ class _TaskResult:
     falsifications: list = field(default_factory=list)
     mismatches: list = field(default_factory=list)
 
+    def add_bound(self, bid: str, count: int, slack: int, witness: str) -> None:
+        """Count verdicts per bound, keeping the first witness of the smallest slack."""
+        mine = self.bounds.get(bid)
+        if mine is None:
+            self.bounds[bid] = [count, slack, witness]
+        else:
+            mine[0] += count
+            if slack < mine[1]:
+                mine[1], mine[2] = slack, witness
+
+    def add_tightness(self, key: tuple[int, int], delta: int, witness: str) -> None:
+        """Keep the first witness of the largest step size per (d, sigma_ext)."""
+        mine = self.tightness.get(key)
+        if mine is None or delta > mine[0]:
+            self.tightness[key] = [delta, witness]
+
     def merge(self, other: "_TaskResult") -> None:
         self.subjects += other.subjects
         self.steps += other.steps
         for bid, (count, slack, witness) in other.bounds.items():
-            mine = self.bounds.get(bid)
-            if mine is None:
-                self.bounds[bid] = [count, slack, witness]
-            else:
-                mine[0] += count
-                if slack < mine[1]:
-                    mine[1], mine[2] = slack, witness
+            self.add_bound(bid, count, slack, witness)
         for key, (delta, witness) in other.tightness.items():
-            mine = self.tightness.get(key)
-            if mine is None or delta > mine[0]:
-                self.tightness[key] = [delta, witness]
+            self.add_tightness(key, delta, witness)
         self.falsifications.extend(other.falsifications)
         self.mismatches.extend(other.mismatches)
 
@@ -255,13 +267,7 @@ def _record_verdicts(
     verdicts: Iterable[BoundVerdict], witness: str, result: _TaskResult
 ) -> None:
     for v in verdicts:
-        row = result.bounds.get(v.bound_id.value)
-        if row is None:
-            result.bounds[v.bound_id.value] = [1, v.slack, witness]
-        else:
-            row[0] += 1
-            if v.slack < row[1]:
-                row[1], row[2] = v.slack, witness
+        result.add_bound(v.bound_id.value, 1, v.slack, witness)
         if not v.satisfied:
             result.falsifications.append(
                 {
@@ -274,30 +280,32 @@ def _record_verdicts(
             )
 
 
+def _run_step(
+    step: Callable[..., DeltaReport], args: tuple, witness: str, symbols: str, ctx: dict, result: _TaskResult
+) -> DeltaReport | None:
+    """Run ``step(*args, alphabet, engine)`` and record its verdicts; a violated invariant is a falsification."""
+    eng = _engine_for(symbols, ctx["backend"])
+    try:
+        report = step(*args, eng.alphabet, eng)
+    except (TheoremViolationError, ConsistencyError) as exc:
+        kind = "theorem" if isinstance(exc, TheoremViolationError) else "consistency"
+        result.falsifications.append({"kind": kind, "witness": witness, "detail": str(exc)})
+        return None
+    result.steps += 1
+    _record_verdicts(_weakened(check_step(report, len(symbols)), ctx["weaken"]), witness, result)
+    return report
+
+
 def _run_append_step(
     window: str, alpha: str, symbols: str, ctx: dict, result: _TaskResult
 ) -> None:
     witness = f"{window}+{alpha}"
-    sigma_global = len(symbols)
-    eng = _engine_for(symbols, ctx["backend"])
-    try:
-        report = append_delta(window, alpha, eng.alphabet, eng)
-    except TheoremViolationError as exc:
-        result.falsifications.append({"kind": "theorem", "witness": witness, "detail": str(exc)})
+    report = _run_step(append_delta, (window, alpha), witness, symbols, ctx, result)
+    if report is None:
         return
-    except ConsistencyError as exc:
-        result.falsifications.append({"kind": "consistency", "witness": witness, "detail": str(exc)})
-        return
-    result.steps += 1
-    _record_verdicts(_weakened(check_step(report, sigma_global), ctx["weaken"]), witness, result)
     for problem in _structure_violations(report):
         result.falsifications.append({"kind": "structure", "witness": witness, "detail": problem})
-
-    key = (report.d, report.sigma_ext)
-    delta = report.delta_size
-    mine = result.tightness.get(key)
-    if mine is None or delta > mine[0]:
-        result.tightness[key] = [delta, witness]
+    result.add_tightness((report.d, report.sigma_ext), report.delta_size, witness)
 
     if ctx["engine"] == "both":
         _compare_engines(report.after, symbols, result)
@@ -305,30 +313,21 @@ def _run_append_step(
 
 def _run_delete_step(subject: str, symbols: str, ctx: dict, result: _TaskResult) -> None:
     witness = f"-{subject}"
-    sigma_global = len(symbols)
-    eng = _engine_for(symbols, ctx["backend"])
-    try:
-        report = delete_delta(subject, eng.alphabet, eng)
-    except TheoremViolationError as exc:
-        result.falsifications.append({"kind": "theorem", "witness": witness, "detail": str(exc)})
+    if _run_step(delete_delta, (subject,), witness, symbols, ctx, result) is None:
         return
-    except ConsistencyError as exc:
-        result.falsifications.append({"kind": "consistency", "witness": witness, "detail": str(exc)})
-        return
-    result.steps += 1
-    _record_verdicts(_weakened(check_step(report, sigma_global), ctx["weaken"]), witness, result)
 
-    # Cross-check the reversal reduction against a direct set difference.
-    before = set(eng.words(subject))
-    after = set(eng.words(subject[1:]))
-    if set(report.deleted) != before - after or set(report.added) != after - before:
-        result.falsifications.append(
-            {
-                "kind": "delete-reduction",
-                "witness": witness,
-                "detail": "reversal reduction disagrees with the direct set difference",
-            }
-        )
+    # The report is derived from the forward sets of subject and subject[1:];
+    # check the reversal identity it relies on against the reversed strings.
+    eng = _engine_for(symbols, ctx["backend"])
+    for s in (subject, subject[1:]):
+        if {w[::-1] for w in eng.words(s[::-1])} != set(eng.words(s)):
+            result.falsifications.append(
+                {
+                    "kind": "delete-reduction",
+                    "witness": witness,
+                    "detail": f"MAW(reverse S) is not reverse(MAW(S)) for S = {s!r}",
+                }
+            )
 
 
 def _process_task(task: tuple[str, str, bool]) -> _TaskResult:
@@ -355,7 +354,10 @@ def _process_task(task: tuple[str, str, bool]) -> _TaskResult:
 
 def _effective_workers(config: CampaignConfig) -> int:
     env = os.environ.get("MAWLAB_THREADS")
-    cap = int(env) if env else None
+    try:
+        cap = int(env) if env else None
+    except ValueError:
+        raise InputError(f"MAWLAB_THREADS must be an integer, got {env!r}") from None
     workers = config.workers
     if workers == 0:
         workers = cap if cap is not None else 1
@@ -439,16 +441,20 @@ def estimate_steps(config: CampaignConfig) -> int:
     return total
 
 
-def run_exhaustive(config: CampaignConfig) -> CampaignReport:
-    """Evaluate every string in range with every appended symbol."""
-    if config.mode != "exhaustive":
-        raise InputError("run_exhaustive needs an exhaustive-mode config")
+def _check_budget(config: CampaignConfig) -> None:
     estimate = estimate_steps(config)
     if estimate > config.budget:
         raise InputError(
             f"campaign would evaluate about {estimate} steps, over the budget of {config.budget}; "
             "narrow the ranges or raise the budget"
         )
+
+
+def run_exhaustive(config: CampaignConfig) -> CampaignReport:
+    """Evaluate every string in range with every appended symbol."""
+    if config.mode != "exhaustive":
+        raise InputError("run_exhaustive needs an exhaustive-mode config")
+    _check_budget(config)
     return _execute(list(_exhaustive_tasks(config)), config)
 
 
@@ -456,6 +462,7 @@ def run_random(config: CampaignConfig) -> CampaignReport:
     """Evaluate seeded uniform random strings; identical config implies identical report."""
     if config.mode != "random":
         raise InputError("run_random needs a random-mode config")
+    _check_budget(config)
     rng = random.Random(config.seed)
     tasks: list[tuple[str, str, bool]] = []
     for i in range(config.samples):

@@ -4,7 +4,6 @@ from mawlab.bounds import (
     BoundVerdict,
     bound_binary_append,
     bound_general_append,
-    bound_general_delete,
     bound_occurring_append,
     bound_prior_append,
     bound_prior_delete,
@@ -50,7 +49,10 @@ class TestEvaluators:
         assert bound_binary_append(5) == 5
 
     def test_general_delete(self):
-        assert bound_general_delete(6, 3) == 10
+        # shrunken window "aabcab": d = 6, sigma_window = 3
+        rep = delete_delta("caabcab", Alphabet.of("abc"))
+        assert (rep.d, rep.sigma_window) == (6, 3)
+        assert by_id(check_step(rep, 3))[BoundId.GENERAL_DELETE].bound_value == 10
 
     def test_total_cap(self):
         # one append plus one delete per step, each at most min(d, sigma) + d + 1

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+from mawlab.automaton import SuffixAutomaton
 from mawlab.cli import main
 
 
@@ -56,6 +57,13 @@ class TestMawCommand:
         path.write_text("cbaaaa\n")
         code, out, _ = run_cli(capsys, "maw", "--file", str(path), "--alphabet", "abcd")
         assert code == 0 and "aaaaa" in out
+
+    def test_file_with_inner_line_break(self, capsys, tmp_path):
+        for content in (b"ab\nab\n", b"ab\rab"):
+            path = tmp_path / "input.txt"
+            path.write_bytes(content)
+            code, out, err = run_cli(capsys, "maw", "--file", str(path))
+            assert code == 2 and out == "" and err.startswith("error:") and "line break" in err
 
     def test_engines_agree(self, capsys):
         _, out1, _ = run_cli(capsys, "maw", "cbaaaa", "--alphabet", "abcd", "--engine", "oracle")
@@ -119,6 +127,20 @@ class TestSlideCommand:
         ]
         assert expected == rows
 
+    def test_builds_two_automata_per_step(self, capsys, monkeypatch):
+        builds = []
+        original = SuffixAutomaton.__init__
+
+        def counting_init(self, subject):
+            builds.append(subject)
+            original(self, subject)
+
+        monkeypatch.setattr(SuffixAutomaton, "__init__", counting_init)
+        text, d = "abaababaabbabaabab", 5
+        code, _, _ = run_cli(capsys, "slide", text, "--window", str(d), "--per-step", "--format", "json")
+        assert code == 0
+        assert len(builds) == 2 * (len(text) - d) + 1
+
     def test_totals_verdicts_in_payload(self, capsys):
         _, out, _ = run_cli(capsys, "slide", "abcabcabc", "--window", "2", "--format", "json")
         payload = parse_json(out)["payload"]
@@ -165,6 +187,23 @@ class TestVerifyCommand:
         cfg.write_text(json.dumps({"mode": "exhaustive", "sigma": 2}))
         code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
         assert code == 2 and "unknown config keys" in err
+
+    def test_non_integer_thread_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("MAWLAB_THREADS", "two")
+        code, out, err = run_cli(capsys, "verify", "--preset", "random")
+        assert code == 2 and out == "" and err.startswith("error:") and "MAWLAB_THREADS" in err
+
+    def test_non_integer_sigma(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"mode": "exhaustive", "sigmas": ["x"]}))
+        code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == 2 and err.startswith("error:") and "sigmas" in err
+
+    def test_random_mode_respects_budget(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "random", "samples": 10, "budget": 1}))
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == 2 and out == "" and err.startswith("error:") and "budget" in err
 
     def test_needs_preset_or_config(self, capsys):
         code, _, err = run_cli(capsys, "verify")

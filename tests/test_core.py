@@ -8,7 +8,6 @@ from mawlab.core import (
     Alphabet,
     ConsistencyError,
     InputError,
-    Window,
     canonical_words,
     occurs,
     window_stats,
@@ -82,17 +81,6 @@ class TestAlphabet:
             a.require_text("abc")
         with pytest.raises(InputError):
             a.require_symbol("c")
-
-
-class TestWindow:
-    def test_content(self):
-        w = Window("abcdef", 2, 3)
-        assert w.content == "cde" and w.end == 5
-
-    @pytest.mark.parametrize("start,length", [(-1, 2), (0, 0), (5, 2)])
-    def test_bounds(self, start, length):
-        with pytest.raises(InputError):
-            Window("abcde", start, length)
 
 
 class TestOccurs:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mawlab.bounds import check_step
 from mawlab.core import Alphabet, ConsistencyError, InputError, TheoremViolationError
 from mawlab.oracle import enumerate_maws_naive
 from mawlab.slide import (
@@ -12,6 +13,7 @@ from mawlab.slide import (
     append_delta,
     classify_added,
     delete_delta,
+    slide_steps,
     slide_totals,
     type3_injection,
 )
@@ -200,3 +202,47 @@ class TestSlideTotals:
             lhs = enumerate_maws_naive(text[i : i + d], BIN).as_set()
             rhs = enumerate_maws_naive(text[i + 1 : i + d + 1], BIN).as_set()
             assert size == len(lhs ^ rhs)
+
+
+class TestSlideSteps:
+    def test_matches_single_step_reports_exhaustive(self):
+        # Every step of every text and window length: the walk's reports equal the
+        # single-step reports of the same windows, verdicts included, and its fused
+        # sizes equal slide_totals.  Expected reports are memoised per extended window.
+        for symbols, max_n in (("01", 10), ("abc", 6)):
+            alphabet = Alphabet.of(symbols)
+            sigma = alphabet.size
+            engine = MawEngine(alphabet)
+
+            def payload(rep):
+                return rep.with_verdicts(check_step(rep, sigma)).to_payload()
+
+            expected: dict[str, tuple[dict, dict]] = {}
+            for n in range(2, max_n + 1):
+                for tup in product(symbols, repeat=n):
+                    text = "".join(tup)
+                    for d in range(1, n):
+                        fused = []
+                        for i, (size, ap, de) in enumerate(slide_steps(text, d, alphabet, engine)):
+                            ext = text[i : i + d + 1]
+                            if ext not in expected:
+                                expected[ext] = (
+                                    payload(append_delta(ext[:-1], ext[-1], alphabet, engine)),
+                                    payload(delete_delta(ext, alphabet, engine)),
+                                )
+                            assert (payload(ap), payload(de)) == expected[ext], (text, d, i)
+                            fused.append(size)
+                        assert tuple(fused) == slide_totals(text, d, alphabet, engine).per_step, (text, d)
+
+    def test_engine_name_matches_engine_object(self):
+        text = "abcabbacbcaab"
+        alphabet = Alphabet.of("abc")
+        by_name = list(slide_steps(text, 4, alphabet, "oracle"))
+        by_engine = list(slide_steps(text, 4, alphabet, MawEngine(alphabet)))
+        assert by_name == by_engine
+
+    def test_window_length_validation(self):
+        with pytest.raises(InputError):
+            list(slide_steps("aaaa", 4, Alphabet.of("a")))
+        with pytest.raises(InputError):
+            list(slide_steps("abz", 1, Alphabet.of("ab")))
