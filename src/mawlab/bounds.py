@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import WindowStats
 from .slide import DeltaReport, SlideSummary
 
 
@@ -67,14 +66,12 @@ class BoundVerdict:
         }
 
 
-def bound_prior_append(stats: WindowStats, sigma: int) -> int:
-    """Repeating-suffix bound (s - s_alpha)(sigma - 1) + sigma + 1, sigma the full alphabet size."""
-    return (stats.repeating_suffix_len - stats.suffix_ext_len) * (sigma - 1) + sigma + 1
+def bound_prior_append(repeat_len: int, ext_len: int, sigma: int) -> int:
+    """Repeating-suffix bound (s - s_alpha)(sigma - 1) + sigma + 1, sigma the full alphabet size.
 
-
-def bound_prior_delete(stats: WindowStats, sigma: int) -> int:
-    """Prefix-side mirror of :func:`bound_prior_append` for delete steps."""
-    return (stats.repeating_prefix_len - stats.prefix_ext_len) * (sigma - 1) + sigma + 1
+    ``repeat_len`` is s and ``ext_len`` is s_alpha (see :class:`DeltaReport`).
+    """
+    return (repeat_len - ext_len) * (sigma - 1) + sigma + 1
 
 
 def bound_general_append(d: int, sigma_window: int) -> int:
@@ -112,25 +109,20 @@ def check_step(report: DeltaReport, sigma_global: int) -> tuple[BoundVerdict, ..
     """
     d = report.d
     delta = report.delta_size
-    verdicts: list[BoundVerdict] = []
-
+    # A delete takes the append formulas, every input measured on its mirror append.
+    general = bound_general_append(d, report.sigma_window)
+    prior = bound_prior_append(report.repeat_len, report.ext_len, sigma_global)
     if report.direction == "delete":
-        # Same formula as the append side, with d and sigma_window taken on the shrunken window.
-        verdicts.append(
-            BoundVerdict.make(BoundId.GENERAL_DELETE, bound_general_append(d, report.sigma_window), delta)
+        return (
+            BoundVerdict.make(BoundId.GENERAL_DELETE, general, delta),
+            BoundVerdict.make(BoundId.PRIOR_CROCHEMORE_DELETE, prior, delta),
         )
-        verdicts.append(
-            BoundVerdict.make(BoundId.PRIOR_CROCHEMORE_DELETE, bound_prior_delete(report.stats, sigma_global), delta)
-        )
-        return tuple(verdicts)
 
     m1, m2, m3 = report.type_counts
-    verdicts.append(
-        BoundVerdict.make(BoundId.GENERAL_APPEND, bound_general_append(d, report.sigma_window), delta)
-    )
-    verdicts.append(
-        BoundVerdict.make(BoundId.PRIOR_CROCHEMORE_APPEND, bound_prior_append(report.stats, sigma_global), delta)
-    )
+    verdicts = [
+        BoundVerdict.make(BoundId.GENERAL_APPEND, general, delta),
+        BoundVerdict.make(BoundId.PRIOR_CROCHEMORE_APPEND, prior, delta),
+    ]
     if report.alpha_occurs:
         verdicts.append(
             BoundVerdict.make(BoundId.OCCURRING_APPEND, bound_occurring_append(d, report.sigma_ext), delta)

@@ -1,4 +1,4 @@
-"""Core string/alphabet types and substring primitives shared by every module.
+"""Core alphabet type, error classes and the canonical word order shared by every module.
 
 Conventions used across the package:
 
@@ -86,114 +86,6 @@ class Alphabet:
         for ch in text:
             if ch not in self:
                 raise InputError(f"symbol {ch!r} of {text!r} is not in alphabet {self.as_str()!r}")
-
-
-@dataclass(frozen=True)
-class WindowStats:
-    """Repetition statistics of one window.
-
-    ``repeating_suffix_len`` is the length of the longest proper suffix that
-    occurs at least twice in the window (overlaps allowed).
-    ``suffix_ext_len`` is the length of the longest suffix having an internal
-    occurrence whose following character (inside the window) equals the symbol
-    about to be appended.  The empty suffix qualifies exactly when that symbol
-    occurs somewhere in the window, so the value is -1 when it does not occur
-    at all (no suffix qualifies), and 0 when no symbol was supplied.  The
-    prefix-side fields mirror these for the delete direction.
-    """
-
-    distinct_count: int
-    repeating_suffix_len: int
-    suffix_ext_len: int
-    repeating_prefix_len: int
-    prefix_ext_len: int
-
-    def __post_init__(self) -> None:
-        if not -1 <= self.suffix_ext_len <= self.repeating_suffix_len:
-            raise ConsistencyError("suffix_ext_len must not exceed repeating_suffix_len")
-        if not -1 <= self.prefix_ext_len <= self.repeating_prefix_len:
-            raise ConsistencyError("prefix_ext_len must not exceed repeating_prefix_len")
-
-
-def occurs(word: str, text: str) -> bool:
-    """True iff ``word`` appears contiguously in ``text``.
-
-    The empty-pattern convention (the empty string occurs everywhere) is the
-    caller's responsibility; this predicate rejects empty patterns outright.
-    """
-    if not word:
-        raise InputError("pattern must be non-empty")
-    return word in text
-
-
-def window_stats(window: str, next_sym: str | None = None, prev_sym: str | None = None) -> WindowStats:
-    """Compute :class:`WindowStats` for a window, by direct scanning.
-
-    ``next_sym`` / ``prev_sym``, when given, are the characters adjacent to the
-    window in the underlying text (the one about to be appended on the right,
-    and the one just deleted on the left).
-    """
-    d = len(window)
-    if d == 0:
-        raise InputError("window must be non-empty")
-
-    rep_suf = 0
-    for length in range(d - 1, 0, -1):
-        if window.find(window[d - length :]) < d - length:
-            rep_suf = length
-            break
-
-    suf_ext = 0
-    if next_sym is not None:
-        suf_ext = 0 if next_sym in window else -1
-        for length in range(rep_suf, 0, -1):
-            suffix = window[d - length :]
-            start = 0
-            found = False
-            while True:
-                pos = window.find(suffix, start)
-                if pos < 0 or pos + length >= d:
-                    break
-                if window[pos + length] == next_sym:
-                    found = True
-                    break
-                start = pos + 1
-            if found:
-                suf_ext = length
-                break
-
-    rep_pre = 0
-    for length in range(d - 1, 0, -1):
-        if window.rfind(window[:length]) > 0:
-            rep_pre = length
-            break
-
-    pre_ext = 0
-    if prev_sym is not None:
-        pre_ext = 0 if prev_sym in window else -1
-        for length in range(rep_pre, 0, -1):
-            prefix = window[:length]
-            start = 1
-            found = False
-            while True:
-                pos = window.find(prefix, start)
-                if pos < 0:
-                    break
-                if window[pos - 1] == prev_sym:
-                    found = True
-                    break
-                start = pos + 1
-            if found:
-                pre_ext = length
-                break
-
-    return WindowStats(
-        distinct_count=len(set(window)),
-        repeating_suffix_len=rep_suf,
-        suffix_ext_len=suf_ext,
-        repeating_prefix_len=rep_pre,
-        prefix_ext_len=pre_ext,
-    )
 
 
 def canonical_words(words: Iterable[str]) -> tuple[str, ...]:

@@ -10,20 +10,10 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .core import Alphabet, InputError
 from .slide import DeltaReport, MawEngine, MawType, append_delta, slide_totals
-
-FAMILY_IDS = (
-    "ZGeneral",
-    "BinaryExtremal",
-    "BinaryOneZeros",
-    "UnaryV",
-    "TotalSigmaFamily",
-    "TotalDistinctFamily",
-    "AlternatingBinary",
-)
 
 _DISPLAY = string.ascii_lowercase + string.ascii_uppercase + string.digits
 
@@ -274,15 +264,17 @@ def gen_alternating(n: int) -> FamilyInstance:
     )
 
 
-_GENERATORS = {
-    "ZGeneral": ("d", "sigma_w", "sigma"),
-    "BinaryExtremal": ("d",),
-    "BinaryOneZeros": ("d",),
-    "UnaryV": ("d",),
-    "TotalSigmaFamily": ("n", "d", "sigma"),
-    "TotalDistinctFamily": ("n", "d", "sigma"),
-    "AlternatingBinary": ("n",),
+# Family id -> (generator, its parameters in positional order, whether it takes a custom alphabet).
+_FAMILIES: dict[str, tuple[Callable[..., FamilyInstance], tuple[str, ...], bool]] = {
+    "ZGeneral": (gen_Z, ("d", "sigma_w", "sigma"), True),
+    "BinaryExtremal": (gen_binary_extremal, ("d",), False),
+    "BinaryOneZeros": (gen_binary_onezeros, ("d",), False),
+    "UnaryV": (gen_unary_v, ("d",), False),
+    "TotalSigmaFamily": (gen_total_sigma, ("n", "d", "sigma"), True),
+    "TotalDistinctFamily": (gen_total_distinct, ("n", "d", "sigma"), True),
+    "AlternatingBinary": (gen_alternating, ("n",), False),
 }
+FAMILY_IDS = tuple(_FAMILIES)
 
 _ALIASES = {
     "TotalSigma": "TotalSigmaFamily",
@@ -296,29 +288,18 @@ def generate(
 ) -> FamilyInstance:
     """Dispatch by family identifier (CLI entry point)."""
     canon = _ALIASES.get(family_id, family_id)
-    wanted = _GENERATORS.get(canon)
-    if wanted is None:
-        raise InputError(f"unknown family {family_id!r}; expected one of {sorted(_GENERATORS)}")
+    if canon not in _FAMILIES:
+        raise InputError(f"unknown family {family_id!r}; expected one of {sorted(_FAMILIES)}")
+    generator, wanted, takes_symbols = _FAMILIES[canon]
     missing = [name for name in wanted if params.get(name) is None]
     if missing:
         raise InputError(f"family {canon} needs parameters: {', '.join(missing)}")
-    args = {name: params[name] for name in wanted}
-    if canon == "ZGeneral":
-        args["sigma_total"] = args.pop("sigma")
-    if symbols is not None:
-        if canon not in ("ZGeneral", "TotalSigmaFamily", "TotalDistinctFamily"):
-            raise InputError(f"family {canon} does not take a custom alphabet")
-        args["symbols"] = tuple(symbols)
-    fn = {
-        "ZGeneral": gen_Z,
-        "BinaryExtremal": gen_binary_extremal,
-        "BinaryOneZeros": gen_binary_onezeros,
-        "UnaryV": gen_unary_v,
-        "TotalSigmaFamily": gen_total_sigma,
-        "TotalDistinctFamily": gen_total_distinct,
-        "AlternatingBinary": gen_alternating,
-    }[canon]
-    return fn(**args)  # type: ignore[operator]
+    args = [params[name] for name in wanted]
+    if symbols is None:
+        return generator(*args)
+    if not takes_symbols:
+        raise InputError(f"family {canon} does not take a custom alphabet")
+    return generator(*args, symbols=tuple(symbols))
 
 
 def measure(

@@ -17,6 +17,21 @@ MAW(reverse S) = reverse(MAW(S)): the append analysis runs on the reversed
 window with the reversed words of the two forward MAW sets, and every reported
 word is reversed back.  Type labels on a delete report are therefore mirrored,
 with prefix and suffix roles swapped.
+
+The two window statistics of the prior per-step bound (Crochemore et al.,
+Inf. Comput. 2020) are read off the MAW sets the step already holds, with no
+scan of the window.  For an append of alpha to W:
+
+* ``ext_len`` = len(deleted word) - 2.  The one deleted MAW is x + u + alpha, with
+  u the longest suffix of W that has an inner occurrence followed by alpha; an
+  absent alpha deletes the word ``alpha`` itself, giving -1.
+* ``repeat_len`` = max(0, len(w) - 2 over w in MAW(W) with W ending in
+  w[:-1]).  For each symbol c exactly one MAW of W is (suffix of W) + c, and its
+  length minus 2 is the longest suffix followed by c inside W; the largest of
+  these is the longest repeated suffix.  Words of length <= 2 only give 0.
+
+A delete report keeps the values of its mirror append, which are the
+prefix-side statistics of the shrunken window with the deleted symbol.
 """
 
 from __future__ import annotations
@@ -30,9 +45,7 @@ from .core import (
     ConsistencyError,
     InputError,
     TheoremViolationError,
-    WindowStats,
     canonical_words,
-    window_stats,
 )
 from .automaton import enumerate_maws_fast
 from .oracle import MawSet, enumerate_maws_naive
@@ -96,6 +109,14 @@ class DeltaReport:
     delete the added side is the singleton.  ``added_by_type`` partitions the
     multi-word side (the added words on an append, the mirrored classification
     of the removed words on a delete).
+
+    ``repeat_len`` (s) is the length of the longest suffix of the short window
+    that occurs twice in it, and ``ext_len`` (s_alpha) that of the longest
+    suffix with an inner occurrence followed by the appended symbol, -1 when
+    that symbol is absent from the window.  On a delete both are the
+    prefix-side mirrors on the shrunken window, with the deleted symbol
+    preceding.  Both are read off the MAW sets, as the module docstring sets
+    out.
     """
 
     direction: str
@@ -108,7 +129,8 @@ class DeltaReport:
     added: tuple[str, ...]
     added_by_type: Mapping[MawType, tuple[str, ...]]
     injection_witness: Mapping[str, int]
-    stats: WindowStats
+    repeat_len: int
+    ext_len: int
     verdicts: tuple = field(default=())
 
     @property
@@ -213,13 +235,8 @@ def type3_injection(m3: list[str] | tuple[str, ...], pre_window: str) -> dict[st
     return mapping
 
 
-def _append_report(
-    window: str, alpha: str, before: Iterable[str], after: Iterable[str], stats: WindowStats | None = None
-) -> DeltaReport:
-    """Report for appending ``alpha`` to ``window``, from the words of MAW(window) and MAW(window + alpha).
-
-    ``stats`` defaults to the window's own stats with ``alpha`` as next symbol.
-    """
+def _append_report(window: str, alpha: str, before: Iterable[str], after: Iterable[str]) -> DeltaReport:
+    """Report for appending ``alpha`` to ``window``, from the words of MAW(window) and MAW(window + alpha)."""
     before_set, after_set = set(before), set(after)
     deleted = canonical_words(before_set - after_set)
     added = canonical_words(after_set - before_set)
@@ -245,7 +262,10 @@ def _append_report(
         added=added,
         added_by_type=by_type,
         injection_witness=type3_injection(by_type[MawType.TYPE3], window),
-        stats=stats or window_stats(window, next_sym=alpha),
+        repeat_len=max(
+            (len(w) - 2 for w in before_set if len(w) > 2 and window.endswith(w[:-1])), default=0
+        ),
+        ext_len=len(deleted[0]) - 2,
     )
 
 
@@ -257,12 +277,10 @@ def _delete_report(window: str, before: Iterable[str], after: Iterable[str]) -> 
     """Report for deleting ``window[0]``, from the words of MAW(window) and MAW(window[1:]).
 
     The mirror appends ``window[0]`` to the reversed shrunken window; its d,
-    sigma counts and the given prefix-side stats carry over unchanged.
+    sigma counts and window statistics carry over unchanged.
     """
     beta, kept = window[0], window[1:]
-    mirror = _append_report(
-        kept[::-1], beta, (w[::-1] for w in after), (w[::-1] for w in before), window_stats(kept, prev_sym=beta)
-    )
+    mirror = _append_report(kept[::-1], beta, (w[::-1] for w in after), (w[::-1] for w in before))
     return replace(
         mirror,
         direction="delete",

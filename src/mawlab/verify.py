@@ -24,12 +24,18 @@ from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from .core import Alphabet, ConsistencyError, InputError, TheoremViolationError
-from .bounds import BoundVerdict, check_step
+from .bounds import BoundId, BoundVerdict, check_step
 from .families import FamilyInstance, gen_binary_extremal, gen_unary_v, gen_Z
 from .slide import DeltaReport, MawEngine, MawType, append_delta, delete_delta
 
 _ENGINES = ("oracle", "automaton", "both")
 _CHECKS = ("full", "enum-only")
+_INTS = ("min_len", "max_len", "samples", "seed", "budget", "workers")
+_BOUND_NAMES = tuple(b.value for b in BoundId)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _default_symbols(sigma: int) -> str:
@@ -59,10 +65,19 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("exhaustive", "random"):
             raise InputError(f"mode must be 'exhaustive' or 'random', got {self.mode!r}")
-        if not self.sigmas or any(s < 1 for s in self.sigmas):
-            raise InputError("sigmas must be a non-empty list of positive sizes")
+        for name in _INTS:
+            if not _is_int(getattr(self, name)):
+                raise InputError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not self.sigmas or not all(_is_int(s) and s >= 1 for s in self.sigmas):
+            raise InputError(f"sigmas must be a non-empty list of positive integers, got {list(self.sigmas)!r}")
         if not 0 <= self.min_len <= self.max_len:
             raise InputError("need 0 <= min_len <= max_len")
+        if self.mode == "random" and self.max_len < 1:
+            raise InputError("random mode needs max_len >= 1")
+        if not isinstance(self.deletes, bool):
+            raise InputError(f"deletes must be true or false, got {self.deletes!r}")
+        if self.weaken is not None and self.weaken not in _BOUND_NAMES:
+            raise InputError(f"weaken must be null or one of {list(_BOUND_NAMES)}, got {self.weaken!r}")
         if self.engine not in _ENGINES:
             raise InputError(f"engine must be one of {_ENGINES}")
         if self.checks not in _CHECKS:
@@ -91,10 +106,7 @@ class CampaignConfig:
             sig = kwargs["sigmas"]
             if not isinstance(sig, (list, tuple)):
                 raise InputError("sigmas must be a list")
-            try:
-                kwargs["sigmas"] = tuple(int(s) for s in sig)
-            except (TypeError, ValueError):
-                raise InputError(f"sigmas must be a list of integers, got {sig!r}") from None
+            kwargs["sigmas"] = tuple(sig)
         try:
             return cls(**kwargs)
         except TypeError as exc:

@@ -1,4 +1,4 @@
-from mawlab.core import Alphabet, WindowStats
+from mawlab.core import Alphabet
 from mawlab.bounds import (
     BoundId,
     BoundVerdict,
@@ -6,7 +6,6 @@ from mawlab.bounds import (
     bound_general_append,
     bound_occurring_append,
     bound_prior_append,
-    bound_prior_delete,
     bound_total,
     check_step,
     check_totals,
@@ -16,23 +15,24 @@ from mawlab.slide import append_delta, delete_delta, slide_totals
 BIN = Alphabet.of("01")
 
 
-def stats(s_i=0, s_a=0, p_i=0, p_b=0, distinct=1):
-    return WindowStats(distinct, s_i, s_a, p_i, p_b)
-
-
 def by_id(verdicts):
     return {v.bound_id: v for v in verdicts}
 
 
 class TestEvaluators:
     def test_prior_append_formula(self):
-        assert bound_prior_append(stats(s_i=2, s_a=0), sigma=5) == 14
-        assert bound_prior_append(stats(s_i=3, s_a=3), sigma=4) == 5  # zero gap -> sigma + 1
+        assert bound_prior_append(2, 0, sigma=5) == 14
+        assert bound_prior_append(3, 3, sigma=4) == 5  # zero gap -> sigma + 1
         # absent next symbol: no suffix qualifies, encoded as -1
-        assert bound_prior_append(stats(s_i=0, s_a=-1), sigma=3) == 6
+        assert bound_prior_append(0, -1, sigma=3) == 6
 
     def test_prior_delete_formula(self):
-        assert bound_prior_delete(stats(p_i=2, p_b=1), sigma=3) == 6
+        # the delete side is the same formula on the prefix-side statistics
+        assert bound_prior_append(2, 1, sigma=3) == 6
+        # shrunken window "abcaab": "ab" repeats, and only "a" has an occurrence preceded by "c"
+        rep = delete_delta("cabcaab", Alphabet.of("abc"))
+        assert (rep.repeat_len, rep.ext_len) == (2, 1)
+        assert by_id(check_step(rep, 3))[BoundId.PRIOR_CROCHEMORE_DELETE].bound_value == 6
 
     def test_general_append(self):
         assert bound_general_append(6, 4) == 11

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from mawlab.automaton import SuffixAutomaton
 from mawlab.cli import main
 
@@ -198,6 +200,27 @@ class TestVerifyCommand:
         cfg.write_text(json.dumps({"mode": "exhaustive", "sigmas": ["x"]}))
         code, _, err = run_cli(capsys, "verify", "--config", str(cfg))
         assert code == 2 and err.startswith("error:") and "sigmas" in err
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"max_len": 5.0}, "max_len"),
+            ({"samples": 2.5}, "samples"),
+            ({"samples": True}, "samples"),
+            ({"mode": "random", "min_len": 0, "max_len": 0}, "max_len"),
+            ({"deletes": "no"}, "deletes"),
+            ({"weaken": "Nope"}, "weaken"),
+            ({"sigmas": [True]}, "sigmas"),
+            ({"sigmas": [2.7]}, "sigmas"),
+        ],
+        ids=["float-max-len", "float-samples", "bool-samples", "random-max-len-0",
+             "string-deletes", "unknown-weaken", "bool-sigma", "float-sigma"],
+    )
+    def test_bad_config_value(self, capsys, tmp_path, overrides, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"mode": "exhaustive", "max_len": 3, "samples": 5, **overrides}))
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == 2 and out == "" and err.startswith("error:") and key in err
 
     def test_random_mode_respects_budget(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

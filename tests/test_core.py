@@ -4,18 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mawlab.core import (
-    Alphabet,
-    ConsistencyError,
-    InputError,
-    canonical_words,
-    occurs,
-    window_stats,
-)
+from mawlab.core import Alphabet, InputError, canonical_words
+from mawlab.slide import MawEngine, append_delta, delete_delta
 
-
-def naive_occurs(word, text):
-    return any(text[i : i + len(word)] == word for i in range(len(text) - len(word) + 1))
+BIN = Alphabet.of("01")
+ABC = Alphabet.of("abc")
 
 
 def brute_stats(window, next_sym=None, prev_sym=None):
@@ -83,92 +76,61 @@ class TestAlphabet:
             a.require_symbol("c")
 
 
-class TestOccurs:
-    def test_golden(self):
-        assert occurs("ab", "abaab")
-        assert not occurs("bb", "abaab")
-        assert not occurs("aaba", "abaab")
-
-    def test_rejects_empty_pattern(self):
-        with pytest.raises(InputError):
-            occurs("", "abc")
-
-    def test_agrees_with_naive_scan_exhaustively(self):
-        for n in range(0, 8):
-            for text in ("".join(t) for t in product("ab", repeat=n)):
-                for m in range(1, n + 2):
-                    for word in ("".join(w) for w in product("ab", repeat=m)):
-                        assert occurs(word, text) == naive_occurs(word, text)
-
-    @given(st.text(alphabet="abc", max_size=12), st.text(alphabet="abc", min_size=1, max_size=13))
-    def test_agrees_with_naive_scan_random(self, text, word):
-        assert occurs(word, text) == naive_occurs(word, text)
-
-
 class TestWindowStats:
+    """The prior bound's (repeat_len, ext_len) on append and delete reports, against brute_stats."""
+
     def test_golden_append_side(self):
-        s = window_stats("abcddd", next_sym="e")
-        assert s.distinct_count == 4
-        assert s.repeating_suffix_len == 2  # "dd" repeats
-        assert s.suffix_ext_len == -1  # "e" never occurs in the window
+        rep = append_delta("abcddd", "e", Alphabet.of("abcde"))
+        assert rep.sigma_window == 4
+        assert rep.repeat_len == 2  # "dd" repeats
+        assert rep.ext_len == -1  # "e" never occurs in the window
 
-        s = window_stats("aaaa", next_sym="a")
-        assert (s.distinct_count, s.repeating_suffix_len, s.suffix_ext_len) == (1, 3, 3)
+        rep = append_delta("aaaa", "a", Alphabet.of("a"))
+        assert (rep.sigma_window, rep.repeat_len, rep.ext_len) == (1, 3, 3)
 
-        s = window_stats("ab", next_sym="c")
-        assert (s.distinct_count, s.repeating_suffix_len, s.suffix_ext_len) == (2, 0, -1)
+        rep = append_delta("ab", "c", Alphabet.of("abc"))
+        assert (rep.sigma_window, rep.repeat_len, rep.ext_len) == (2, 0, -1)
 
     def test_golden_prefix_side(self):
-        s = window_stats("abab", prev_sym="b")
-        assert s.repeating_prefix_len == 2
-        assert s.prefix_ext_len == 2  # "ab" at offset 2 is preceded by "b"
+        rep = delete_delta("b" + "abab", Alphabet.of("ab"))
+        assert rep.repeat_len == 2
+        assert rep.ext_len == 2  # "ab" at offset 2 is preceded by "b"
 
     def test_rejects_empty(self):
         with pytest.raises(InputError):
-            window_stats("")
+            append_delta("", "a", Alphabet.of("a"))
 
     def test_matches_brute_force_exhaustively(self):
+        engine = MawEngine(BIN)
         for n in range(1, 11):
             for tup in product("01", repeat=n):
                 w = "".join(tup)
-                for nxt in (None, "0", "1"):
-                    for prv in (None, "0", "1"):
-                        got = window_stats(w, next_sym=nxt, prev_sym=prv)
-                        assert (
-                            got.distinct_count,
-                            got.repeating_suffix_len,
-                            got.suffix_ext_len,
-                            got.repeating_prefix_len,
-                            got.prefix_ext_len,
-                        ) == brute_stats(w, nxt, prv), w
+                for sym in "01":
+                    distinct, rep_suf, suf_ext, _, _ = brute_stats(w, next_sym=sym)
+                    rep = append_delta(w, sym, BIN, engine)
+                    assert (rep.sigma_window, rep.repeat_len, rep.ext_len) == (distinct, rep_suf, suf_ext), w + sym
+                    _, _, _, rep_pre, pre_ext = brute_stats(w, prev_sym=sym)
+                    rep = delete_delta(sym + w, BIN, engine)
+                    assert (rep.sigma_window, rep.repeat_len, rep.ext_len) == (distinct, rep_pre, pre_ext), sym + w
 
     @settings(max_examples=300)
     @given(st.text(alphabet="abc", min_size=1, max_size=12), st.sampled_from("abc"), st.sampled_from("abc"))
     def test_matches_brute_force_random(self, w, nxt, prv):
-        got = window_stats(w, next_sym=nxt, prev_sym=prv)
-        assert (
-            got.distinct_count,
-            got.repeating_suffix_len,
-            got.suffix_ext_len,
-            got.repeating_prefix_len,
-            got.prefix_ext_len,
-        ) == brute_stats(w, nxt, prv)
+        distinct, rep_suf, suf_ext, rep_pre, pre_ext = brute_stats(w, nxt, prv)
+        rep = append_delta(w, nxt, ABC)
+        assert (rep.sigma_window, rep.repeat_len, rep.ext_len) == (distinct, rep_suf, suf_ext)
+        rep = delete_delta(prv + w, ABC)
+        assert (rep.sigma_window, rep.repeat_len, rep.ext_len) == (distinct, rep_pre, pre_ext)
 
-    @given(st.text(alphabet="ab", min_size=1, max_size=14))
-    def test_invariants(self, w):
-        s = window_stats(w, next_sym="0", prev_sym="1")
+    @given(st.text(alphabet="ab", min_size=1, max_size=14), st.sampled_from("ab"))
+    def test_invariants(self, w, sym):
         d = len(w)
-        assert 1 <= s.distinct_count <= min(d, 2 + 2)
-        assert 0 <= s.repeating_suffix_len < d
-        assert -1 <= s.suffix_ext_len <= s.repeating_suffix_len
-        assert 0 <= s.repeating_prefix_len < d
-        assert -1 <= s.prefix_ext_len <= s.repeating_prefix_len
-
-    def test_stats_ordering_contract(self):
-        with pytest.raises(ConsistencyError):
-            from mawlab.core import WindowStats
-
-            WindowStats(1, 0, 1, 0, 0)
+        ab = Alphabet.of("ab")
+        for rep in (append_delta(w, sym, ab), delete_delta(sym + w, ab)):
+            assert rep.d == d
+            assert 1 <= rep.sigma_window <= min(d, 2)
+            assert 0 <= rep.repeat_len < d
+            assert -1 <= rep.ext_len <= rep.repeat_len
 
 
 def test_canonical_words_order():
