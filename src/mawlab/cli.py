@@ -164,12 +164,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise InputError("verify needs --preset or --config")
     data: dict = {}
     if args.preset is not None:
-        preset = PRESETS.get(args.preset)
-        if preset is None:
-            raise InputError(f"unknown preset {args.preset!r}; have {sorted(PRESETS)}")
-        data = preset.to_payload()
-        data.pop("symbols", None)
-        data.pop("weaken", None)
+        data = PRESETS[args.preset].to_payload()
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:

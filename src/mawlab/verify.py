@@ -10,8 +10,14 @@ raise on a falsification.
 
 Reports are deterministic for a fixed config (the wall clock is kept out of
 the default payload).  Instances are independent, so the runner can fan out
-over processes; results are merged in task order, which keeps the report
-schedule-independent.
+over forked processes; results are merged in task order, which keeps the
+report schedule-independent.  Only a failure to start the pool falls back to
+a serial run; an error raised by a task propagates.
+
+MAW sets are memoised per worker.  An exhaustive campaign keeps the memo for
+the whole run, so each distinct string is enumerated once per backend; a
+random campaign starts a fresh memo for each task, because random subjects
+share almost no strings and a campaign-wide memo would grow with ``samples``.
 """
 
 from __future__ import annotations
@@ -19,13 +25,13 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from .core import Alphabet, ConsistencyError, InputError, TheoremViolationError
 from .bounds import BoundId, BoundVerdict, check_step
-from .families import FamilyInstance, gen_binary_extremal, gen_unary_v, gen_Z
+from .families import default_symbols, gen_binary_extremal, gen_unary_v, gen_Z, measure
 from .slide import DeltaReport, MawEngine, MawType, append_delta, delete_delta
 
 _ENGINES = ("oracle", "automaton", "both")
@@ -39,11 +45,7 @@ def _is_int(value: object) -> bool:
 
 
 def _default_symbols(sigma: int) -> str:
-    if sigma == 2:
-        return "01"
-    from .families import default_symbols
-
-    return "".join(default_symbols(sigma))
+    return "01" if sigma == 2 else "".join(default_symbols(sigma))
 
 
 @dataclass(frozen=True)
@@ -85,20 +87,24 @@ class CampaignConfig:
         if self.samples < 0 or self.budget < 1 or self.workers < 0:
             raise InputError("samples/budget/workers out of range")
         if self.symbols is not None:
+            s = self.symbols
+            if not isinstance(s, str) or len(set(s)) != len(s) or "\n" in s or "\r" in s:
+                raise InputError(f"symbols must be null or distinct characters without line breaks, got {s!r}")
             if len(self.sigmas) != 1:
                 raise InputError("explicit symbols require a single sigma")
-            if len(self.symbols) != self.sigmas[0]:
+            if len(s) != self.sigmas[0]:
                 raise InputError("symbols must provide exactly sigma characters")
+
+    @property
+    def backend(self) -> str:
+        """Engine the steps run on; ``both`` steps on the automaton and compares the oracle's sets."""
+        return "oracle" if self.engine == "oracle" else "automaton"
 
     @classmethod
     def from_mapping(cls, data: dict) -> "CampaignConfig":
         if not isinstance(data, dict):
             raise InputError("config must be a JSON object")
-        known = {
-            "mode", "sigmas", "min_len", "max_len", "samples", "seed",
-            "engine", "deletes", "checks", "budget", "workers", "symbols", "weaken",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
@@ -113,20 +119,10 @@ class CampaignConfig:
             raise InputError(f"bad config: {exc}") from None
 
     def to_payload(self) -> dict:
-        return {
-            "mode": self.mode,
-            "sigmas": list(self.sigmas),
-            "min_len": self.min_len,
-            "max_len": self.max_len,
-            "samples": self.samples,
-            "seed": self.seed,
-            "engine": self.engine,
-            "deletes": self.deletes,
-            "checks": self.checks,
-            "budget": self.budget,
-            "symbols": self.symbols,
-            "weaken": self.weaken,
-        }
+        """Every field but ``workers``, which cannot change a report."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "workers"}
+        payload["sigmas"] = list(self.sigmas)
+        return payload
 
 
 @dataclass
@@ -203,41 +199,26 @@ class CampaignReport:
         return payload
 
 
-# Worker-side state: engines are cached per (symbols, backend) so exhaustive
-# sweeps enumerate every distinct string once per backend.
+# Worker-side state, set once per campaign before the pool forks: the config
+# and the engines, cached per (symbols, backend).
 _WORKER: dict = {}
 
 
-def _init_worker(ctx: dict) -> None:
-    _WORKER["ctx"] = ctx
+def _init_worker(config: CampaignConfig) -> None:
+    _WORKER["config"] = config
     _WORKER["engines"] = {}
 
 
 def _engine_for(symbols: str, backend: str) -> MawEngine:
     engines = _WORKER["engines"]
-    key = (symbols, backend)
-    eng = engines.get(key)
-    if eng is None:
-        eng = engines[key] = MawEngine(Alphabet.of(symbols), backend)
-    return eng
-
-
-def _weakened(verdicts: Iterable[BoundVerdict], weaken: str | None) -> list[BoundVerdict]:
-    if weaken is None:
-        return list(verdicts)
-    out = []
-    for v in verdicts:
-        if v.bound_id.value == weaken:
-            v = BoundVerdict.make(v.bound_id, v.bound_value - 1, v.observed)
-        out.append(v)
-    return out
+    if (symbols, backend) not in engines:
+        engines[symbols, backend] = MawEngine(Alphabet.of(symbols), backend)
+    return engines[symbols, backend]
 
 
 def _structure_violations(report: DeltaReport) -> list[str]:
     """Step facts not already covered by a count verdict."""
     problems: list[str] = []
-    if report.direction != "append":
-        return problems
     window = report.before
     alpha = report.after[-1]
     m1 = report.added_by_type[MawType.TYPE1]
@@ -275,10 +256,25 @@ def _compare_engines(subject: str, symbols: str, result: _TaskResult) -> None:
         )
 
 
-def _record_verdicts(
-    verdicts: Iterable[BoundVerdict], witness: str, result: _TaskResult
-) -> None:
-    for v in verdicts:
+def _run_step(
+    step: Callable[..., DeltaReport], args: tuple, witness: str, symbols: str, config: CampaignConfig,
+    result: _TaskResult,
+) -> DeltaReport | None:
+    """Run ``step(*args, alphabet, engine)`` and record its verdicts, lowering the ``weaken`` bound by one.
+
+    A violated invariant is a falsification.
+    """
+    eng = _engine_for(symbols, config.backend)
+    try:
+        report = step(*args, eng.alphabet, eng)
+    except (TheoremViolationError, ConsistencyError) as exc:
+        kind = "theorem" if isinstance(exc, TheoremViolationError) else "consistency"
+        result.falsifications.append({"kind": kind, "witness": witness, "detail": str(exc)})
+        return None
+    result.steps += 1
+    for v in check_step(report, len(symbols)):
+        if v.bound_id.value == config.weaken:
+            v = BoundVerdict.make(v.bound_id, v.bound_value - 1, v.observed)
         result.add_bound(v.bound_id.value, 1, v.slack, witness)
         if not v.satisfied:
             result.falsifications.append(
@@ -290,47 +286,33 @@ def _record_verdicts(
                     "observed": v.observed,
                 }
             )
-
-
-def _run_step(
-    step: Callable[..., DeltaReport], args: tuple, witness: str, symbols: str, ctx: dict, result: _TaskResult
-) -> DeltaReport | None:
-    """Run ``step(*args, alphabet, engine)`` and record its verdicts; a violated invariant is a falsification."""
-    eng = _engine_for(symbols, ctx["backend"])
-    try:
-        report = step(*args, eng.alphabet, eng)
-    except (TheoremViolationError, ConsistencyError) as exc:
-        kind = "theorem" if isinstance(exc, TheoremViolationError) else "consistency"
-        result.falsifications.append({"kind": kind, "witness": witness, "detail": str(exc)})
-        return None
-    result.steps += 1
-    _record_verdicts(_weakened(check_step(report, len(symbols)), ctx["weaken"]), witness, result)
     return report
 
 
 def _run_append_step(
-    window: str, alpha: str, symbols: str, ctx: dict, result: _TaskResult
+    window: str, alpha: str, symbols: str, config: CampaignConfig, result: _TaskResult
 ) -> None:
     witness = f"{window}+{alpha}"
-    report = _run_step(append_delta, (window, alpha), witness, symbols, ctx, result)
+    report = _run_step(append_delta, (window, alpha), witness, symbols, config, result)
     if report is None:
         return
     for problem in _structure_violations(report):
         result.falsifications.append({"kind": "structure", "witness": witness, "detail": problem})
     result.add_tightness((report.d, report.sigma_ext), report.delta_size, witness)
 
-    if ctx["engine"] == "both":
+    # An after-string within max_len is some task's subject, compared there.
+    if config.engine == "both" and len(report.after) > config.max_len:
         _compare_engines(report.after, symbols, result)
 
 
-def _run_delete_step(subject: str, symbols: str, ctx: dict, result: _TaskResult) -> None:
+def _run_delete_step(subject: str, symbols: str, config: CampaignConfig, result: _TaskResult) -> None:
     witness = f"-{subject}"
-    if _run_step(delete_delta, (subject,), witness, symbols, ctx, result) is None:
+    if _run_step(delete_delta, (subject,), witness, symbols, config, result) is None:
         return
 
     # The report is derived from the forward sets of subject and subject[1:];
     # check the reversal identity it relies on against the reversed strings.
-    eng = _engine_for(symbols, ctx["backend"])
+    eng = _engine_for(symbols, config.backend)
     for s in (subject, subject[1:]):
         if {w[::-1] for w in eng.words(s[::-1])} != set(eng.words(s)):
             result.falsifications.append(
@@ -344,27 +326,30 @@ def _run_delete_step(subject: str, symbols: str, ctx: dict, result: _TaskResult)
 
 def _process_task(task: tuple[str, str, bool]) -> _TaskResult:
     symbols, subject, all_alphas = task
-    ctx = _WORKER["ctx"]
+    config = _WORKER["config"]
+    if not all_alphas:
+        _WORKER["engines"] = {}
     result = _TaskResult(subjects=1)
 
-    if ctx["engine"] == "both":
+    if config.engine == "both":
         _compare_engines(subject, symbols, result)
-    if ctx["checks"] == "enum-only":
+    if config.checks == "enum-only":
         return result
 
     if all_alphas:
         if subject:
             for alpha in symbols:
-                _run_append_step(subject, alpha, symbols, ctx, result)
+                _run_append_step(subject, alpha, symbols, config, result)
     elif len(subject) >= 2:
-        _run_append_step(subject[:-1], subject[-1], symbols, ctx, result)
+        _run_append_step(subject[:-1], subject[-1], symbols, config, result)
 
-    if ctx["deletes"] and len(subject) >= 2:
-        _run_delete_step(subject, symbols, ctx, result)
+    if config.deletes and len(subject) >= 2:
+        _run_delete_step(subject, symbols, config, result)
     return result
 
 
 def _effective_workers(config: CampaignConfig) -> int:
+    """Worker processes for a campaign: at most ``MAWLAB_THREADS`` and the CPU count."""
     env = os.environ.get("MAWLAB_THREADS")
     try:
         cap = int(env) if env else None
@@ -375,41 +360,35 @@ def _effective_workers(config: CampaignConfig) -> int:
         workers = cap if cap is not None else 1
     if cap is not None:
         workers = min(workers, cap)
-    return max(1, workers)
+    return max(1, min(workers, os.cpu_count() or 1))
+
+
+def _start_pool(workers: int):
+    import multiprocessing  # only campaigns that fan out pay for the import
+
+    try:
+        return multiprocessing.get_context("fork").Pool(workers)
+    except (OSError, ValueError):
+        return None
 
 
 def _execute(tasks: list[tuple[str, str, bool]], config: CampaignConfig) -> CampaignReport:
-    ctx = {
-        "engine": config.engine,
-        "backend": "oracle" if config.engine == "oracle" else "automaton",
-        "deletes": config.deletes,
-        "checks": config.checks,
-        "weaken": config.weaken,
-    }
     started = time.perf_counter()
     merged = _TaskResult()
     workers = _effective_workers(config)
-    pooled = False
-    if workers > 1 and len(tasks) > 64:
-        import multiprocessing as mp
-
-        try:
-            with mp.get_context("fork").Pool(
-                workers, initializer=_init_worker, initargs=(ctx,)
-            ) as pool:
-                chunk = max(16, len(tasks) // (workers * 8))
-                for part in pool.imap(_process_task, tasks, chunksize=chunk):
-                    merged.merge(part)
-            pooled = True
-        except (OSError, ValueError):
-            merged = _TaskResult()
-    if not pooled:
-        _init_worker(ctx)
-        try:
-            for task in tasks:
-                merged.merge(_process_task(task))
-        finally:
-            _WORKER.clear()
+    _init_worker(config)
+    pool = _start_pool(workers) if workers > 1 and len(tasks) > 64 else None
+    try:
+        if pool is None:
+            parts = map(_process_task, tasks)
+        else:
+            parts = pool.imap(_process_task, tasks, chunksize=max(16, len(tasks) // (workers * 8)))
+        for part in parts:
+            merged.merge(part)
+    finally:
+        if pool is not None:
+            pool.terminate()
+        _WORKER.clear()
 
     tightness_rows = tuple(
         {"d": d, "sigma_ext": se, "max_delta": val[0], "witness": val[1]}
@@ -436,7 +415,7 @@ def _exhaustive_tasks(config: CampaignConfig) -> Iterator[tuple[str, str, bool]]
         symbols = config.symbols or _default_symbols(sigma)
         for n in range(config.min_len, config.max_len + 1):
             for tup in product(symbols, repeat=n):
-                yield ("".join(symbols), "".join(tup), True)
+                yield (symbols, "".join(tup), True)
 
 
 def estimate_steps(config: CampaignConfig) -> int:
@@ -453,7 +432,9 @@ def estimate_steps(config: CampaignConfig) -> int:
     return total
 
 
-def _check_budget(config: CampaignConfig) -> None:
+def _check_runnable(config: CampaignConfig, mode: str) -> None:
+    if config.mode != mode:
+        raise InputError(f"run_{mode} needs a config with mode {mode!r}, got {config.mode!r}")
     estimate = estimate_steps(config)
     if estimate > config.budget:
         raise InputError(
@@ -464,17 +445,13 @@ def _check_budget(config: CampaignConfig) -> None:
 
 def run_exhaustive(config: CampaignConfig) -> CampaignReport:
     """Evaluate every string in range with every appended symbol."""
-    if config.mode != "exhaustive":
-        raise InputError("run_exhaustive needs an exhaustive-mode config")
-    _check_budget(config)
+    _check_runnable(config, "exhaustive")
     return _execute(list(_exhaustive_tasks(config)), config)
 
 
 def run_random(config: CampaignConfig) -> CampaignReport:
     """Evaluate seeded uniform random strings; identical config implies identical report."""
-    if config.mode != "random":
-        raise InputError("run_random needs a random-mode config")
-    _check_budget(config)
+    _check_runnable(config, "random")
     rng = random.Random(config.seed)
     tasks: list[tuple[str, str, bool]] = []
     for i in range(config.samples):
@@ -482,7 +459,7 @@ def run_random(config: CampaignConfig) -> CampaignReport:
         symbols = config.symbols or _default_symbols(sigma)
         n = rng.randint(max(1, config.min_len), config.max_len)
         subject = "".join(rng.choices(symbols, k=n))
-        tasks.append(("".join(symbols), subject, False))
+        tasks.append((symbols, subject, False))
     return _execute(tasks, config)
 
 
@@ -493,40 +470,32 @@ def tightness_scan(
 ) -> CampaignReport:
     """Measure the published extremal family at each (d, extended-window sigma).
 
-    For two-symbol rows the binary family must land exactly on max(3, d); for
-    sigma' >= 3 the fresh-symbol window family must land exactly on
-    (sigma' - 1) + d + 1.  Any slack is recorded as a falsification.
+    Two-symbol rows use the binary family and rows with sigma' >= 3 the
+    fresh-symbol window family; each must land exactly on the bound it
+    carries as ``expected_delta``.  Any slack is recorded as a falsification.
     """
     started = time.perf_counter()
     rows: list[dict] = []
     falsifications: list[dict] = []
-    instances = 0
     for d in sorted(set(d_range)):
         for sigma_ext in sorted(set(sigma_range)):
-            if sigma_ext < 2:
-                continue
+            sigma_w = sigma_ext - 1
             if sigma_ext == 2:
-                inst: FamilyInstance = gen_unary_v(d) if d <= 2 else gen_binary_extremal(d)
-                bound = max(3, d)
+                inst = gen_unary_v(d) if d <= 2 else gen_binary_extremal(d)
+            elif 2 <= sigma_w <= d:
+                inst = gen_Z(d, sigma_w, sigma_ext)
             else:
-                sigma_w = sigma_ext - 1
-                if sigma_w > d:
-                    continue
-                if sigma_w < 2 and d > 1:
-                    continue
-                inst = gen_Z(d, sigma_w, max(3, sigma_w + 1))
-                bound = sigma_w + d + 1
-            report = append_delta(inst.window, inst.append_symbol, inst.alphabet, engine)
-            instances += 1
-            slack = bound - report.delta_size
+                continue
+            max_delta = measure(inst, engine)["observed_delta"]
+            slack = inst.expected_delta - max_delta
             witness = f"{inst.window}+{inst.append_symbol}"
             rows.append(
                 {
                     "d": d,
                     "sigma_ext": sigma_ext,
                     "family_id": inst.family_id,
-                    "max_delta": report.delta_size,
-                    "bound": bound,
+                    "max_delta": max_delta,
+                    "bound": inst.expected_delta,
                     "slack": slack,
                     "witness": witness,
                 }
@@ -542,8 +511,8 @@ def tightness_scan(
     config = CampaignConfig(mode="exhaustive", sigmas=(2,), min_len=0, max_len=0)
     return CampaignReport(
         config=config,
-        instances=instances,
-        steps=instances,
+        instances=len(rows),
+        steps=len(rows),
         bounds={},
         tightness=tuple(rows),
         falsifications=tuple(falsifications),

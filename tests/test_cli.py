@@ -212,9 +212,13 @@ class TestVerifyCommand:
             ({"weaken": "Nope"}, "weaken"),
             ({"sigmas": [True]}, "sigmas"),
             ({"sigmas": [2.7]}, "sigmas"),
+            ({"symbols": ["a", "b"]}, "symbols"),
+            ({"sigmas": [3], "symbols": "a\nb"}, "symbols"),
+            ({"symbols": "aa"}, "symbols"),
         ],
         ids=["float-max-len", "float-samples", "bool-samples", "random-max-len-0",
-             "string-deletes", "unknown-weaken", "bool-sigma", "float-sigma"],
+             "string-deletes", "unknown-weaken", "bool-sigma", "float-sigma",
+             "list-symbols", "line-break-symbols", "repeated-symbols"],
     )
     def test_bad_config_value(self, capsys, tmp_path, overrides, key):
         cfg = tmp_path / "bad.json"

@@ -1,7 +1,10 @@
 import json
+import os
+from types import SimpleNamespace
 
 import pytest
 
+from mawlab import slide, verify
 from mawlab.core import InputError
 from mawlab.verify import (
     CampaignConfig,
@@ -152,3 +155,73 @@ class TestTightnessScan:
         scan_by_d = {row["d"]: row["max_delta"] for row in scan.tightness}
         for d in range(1, 8):
             assert sweep.max_delta(d) == scan_by_d[d]
+
+
+def corrupt_oracle(monkeypatch, target=None):
+    """Make the oracle drop one word of ``target``, or of the first subject of length >= 2 it enumerates."""
+    real = slide._ENUMERATORS["oracle"]
+    chosen = [target]
+
+    def fake(subject, alphabet):
+        got = real(subject, alphabet)
+        if chosen[0] is None and len(subject) >= 2:
+            chosen[0] = subject
+        return SimpleNamespace(words=got.words[1:]) if subject == chosen[0] else got
+
+    monkeypatch.setitem(slide._ENUMERATORS, "oracle", fake)
+    return chosen
+
+
+class TestRunner:
+    def test_exhaustive_mismatch_recorded_once(self, monkeypatch):
+        corrupt_oracle(monkeypatch, "0110")
+        report = run_exhaustive(small_exhaustive(max_len=6, workers=1))
+        assert [m["subject"] for m in report.engine_mismatches] == ["0110"]
+
+    def test_random_mismatch_recorded_once(self, monkeypatch):
+        chosen = corrupt_oracle(monkeypatch)
+        report = run_random(
+            CampaignConfig(mode="random", sigmas=(4,), min_len=20, max_len=30, samples=20, seed=3, workers=1)
+        )
+        assert [m["subject"] for m in report.engine_mismatches] == chosen
+
+    def test_random_tasks_keep_only_their_own_maw_sets(self, monkeypatch):
+        real = verify._process_task
+        earlier: list[str] = []
+
+        def spy(task):
+            result = real(task)
+            cached = set().union(*(eng._cache for eng in verify._WORKER["engines"].values()))
+            assert task[1] in cached
+            assert not cached & set(earlier)
+            earlier.append(task[1])
+            return result
+
+        monkeypatch.setattr(verify, "_process_task", spy)
+        run_random(CampaignConfig(mode="random", sigmas=(2, 4), min_len=20, max_len=30, samples=20, workers=1))
+        assert len(earlier) == 20
+
+    def test_worker_count_is_capped_at_cpu_count(self, monkeypatch):
+        # Reads the count only: no campaign runs, so no process starts.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("MAWLAB_THREADS", "100000")
+        assert verify._effective_workers(CampaignConfig()) == 3
+        assert verify._effective_workers(CampaignConfig(workers=2)) == 2
+        monkeypatch.delenv("MAWLAB_THREADS")
+        assert verify._effective_workers(CampaignConfig(workers=100000)) == 3
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a worker pool")
+    def test_task_error_propagates_from_the_pool(self, monkeypatch):
+        parent = os.getpid()
+        parent_calls = []
+
+        def broken(*args):
+            if os.getpid() == parent:
+                parent_calls.append(args)
+            raise ValueError("task failed")
+
+        monkeypatch.setattr(verify, "_run_append_step", broken)
+        monkeypatch.delenv("MAWLAB_THREADS", raising=False)
+        with pytest.raises(ValueError, match="task failed"):
+            run_exhaustive(small_exhaustive(max_len=6, workers=2))  # 126 tasks, enough for a pool
+        assert parent_calls == []
