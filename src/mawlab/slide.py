@@ -2,8 +2,10 @@
 
 A step is either an append (window S gains a character alpha on the right) or
 a delete (the leftmost character beta is removed).  Deltas are literal set
-differences of two full MAW sets; the structural facts below are asserted on
-every step rather than assumed:
+differences of two full MAW sets, and a report is built from those two
+differences alone: only the changed words are sorted and, on a delete,
+reversed.  The structural facts below are asserted on every step rather than
+assumed:
 
 * an append deletes exactly one MAW;
 * the added MAWs partition into three types by which maximal proper factor
@@ -14,21 +16,26 @@ every step rather than assumed:
 
 Deletes are computed by the reversal reduction, which rests on
 MAW(reverse S) = reverse(MAW(S)): the append analysis runs on the reversed
-window with the reversed words of the two forward MAW sets, and every reported
-word is reversed back.  Type labels on a delete report are therefore mirrored,
-with prefix and suffix roles swapped.
+window with the reversed words of the two forward differences, and every
+reported word is reversed back.  Type labels on a delete report are
+therefore mirrored, with prefix and suffix roles swapped.
+
+A slide keeps one automaton per window: step i extends W_i's automaton by the
+appended symbol to enumerate the extended window E_i, and builds a fresh one
+for W_{i+1}.  Other engines enumerate each string through their ``words``.
 
 The two window statistics of the prior per-step bound (Crochemore et al.,
-Inf. Comput. 2020) are read off the MAW sets the step already holds, with no
-scan of the window.  For an append of alpha to W:
+Inf. Comput. 2020), for an append of alpha to W:
 
 * ``ext_len`` = len(deleted word) - 2.  The one deleted MAW is x + u + alpha, with
   u the longest suffix of W that has an inner occurrence followed by alpha; an
   absent alpha deletes the word ``alpha`` itself, giving -1.
-* ``repeat_len`` = max(0, len(w) - 2 over w in MAW(W) with W ending in
-  w[:-1]).  For each symbol c exactly one MAW of W is (suffix of W) + c, and its
-  length minus 2 is the longest suffix followed by c inside W; the largest of
-  these is the longest repeated suffix.  Words of length <= 2 only give 0.
+* ``repeat_len`` = the length of the longest suffix of W that also occurs in
+  W[:-1].  A suffix of a repeated suffix is repeated too, so the length is
+  found by a binary search over ``in`` tests.  It equals max(0, len(w) - 2
+  over w in MAW(W) with W ending in w[:-1]): for each symbol c exactly one
+  MAW of W is (suffix of W) + c, and its length minus 2 is the longest suffix
+  followed by c inside W.
 
 A delete report keeps the values of its mirror append, which are the
 prefix-side statistics of the shrunken window with the deleted symbol.
@@ -47,7 +54,7 @@ from .core import (
     TheoremViolationError,
     canonical_words,
 )
-from .automaton import enumerate_maws_fast
+from .automaton import SuffixAutomaton, enumerate_maws_fast
 from .oracle import MawSet, enumerate_maws_naive
 
 
@@ -98,6 +105,32 @@ class MawEngine:
         return MawSet(len(subject), self.alphabet, self.words(subject))
 
 
+def _window_enumerator(
+    engine: str | MawEngine, alphabet: Alphabet
+) -> Callable[[str], tuple[Iterable[str], Callable[[str], Iterable[str]]]]:
+    """For a window W: the words of MAW(W), and a one-shot map from alpha to the words of MAW(W + alpha).
+
+    The ``automaton`` engine extends W's automaton by alpha, so a window costs
+    one build; any other engine enumerates W + alpha through its ``words``.
+    """
+    if engine != "automaton":
+        words = _enumerator(engine, alphabet)
+        return lambda window: (words(window), lambda alpha: words(window + alpha))
+
+    def open_window(window: str) -> tuple[list[str], Callable[[str], list[str]]]:
+        sam = SuffixAutomaton(window)
+
+        def extended(alpha: str) -> list[str]:
+            sam.extend(alpha)
+            words = sam.maw_words(alphabet)
+            sam.discard()
+            return words
+
+        return sam.maw_words(alphabet), extended
+
+    return open_window
+
+
 @dataclass(frozen=True)
 class DeltaReport:
     """Full record of one slide step.
@@ -115,8 +148,7 @@ class DeltaReport:
     suffix with an inner occurrence followed by the appended symbol, -1 when
     that symbol is absent from the window.  On a delete both are the
     prefix-side mirrors on the shrunken window, with the deleted symbol
-    preceding.  Both are read off the MAW sets, as the module docstring sets
-    out.
+    preceding.  The module docstring sets out how both are derived.
     """
 
     direction: str
@@ -235,11 +267,23 @@ def type3_injection(m3: list[str] | tuple[str, ...], pre_window: str) -> dict[st
     return mapping
 
 
-def _append_report(window: str, alpha: str, before: Iterable[str], after: Iterable[str]) -> DeltaReport:
-    """Report for appending ``alpha`` to ``window``, from the words of MAW(window) and MAW(window + alpha)."""
-    before_set, after_set = set(before), set(after)
-    deleted = canonical_words(before_set - after_set)
-    added = canonical_words(after_set - before_set)
+def _repeat_len(window: str) -> int:
+    """Length of the longest suffix of ``window`` that also occurs in ``window[:-1]``."""
+    head = window[:-1]
+    lo, hi = 0, len(head)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if window[-mid:] in head:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _append_report(window: str, alpha: str, deleted_words: Iterable[str], added_words: Iterable[str]) -> DeltaReport:
+    """Report for appending ``alpha`` to ``window``, from MAW(window) - MAW(window + alpha) and the reverse difference."""
+    deleted = canonical_words(deleted_words)
+    added = canonical_words(added_words)
     if len(deleted) != 1:
         raise TheoremViolationError(
             f"append must delete exactly one MAW, got {len(deleted)}: "
@@ -262,9 +306,7 @@ def _append_report(window: str, alpha: str, before: Iterable[str], after: Iterab
         added=added,
         added_by_type=by_type,
         injection_witness=type3_injection(by_type[MawType.TYPE3], window),
-        repeat_len=max(
-            (len(w) - 2 for w in before_set if len(w) > 2 and window.endswith(w[:-1])), default=0
-        ),
+        repeat_len=_repeat_len(window),
         ext_len=len(deleted[0]) - 2,
     )
 
@@ -273,14 +315,15 @@ def _reversed_words(words: Iterable[str]) -> tuple[str, ...]:
     return canonical_words(w[::-1] for w in words)
 
 
-def _delete_report(window: str, before: Iterable[str], after: Iterable[str]) -> DeltaReport:
-    """Report for deleting ``window[0]``, from the words of MAW(window) and MAW(window[1:]).
+def _delete_report(window: str, deleted_words: Iterable[str], added_words: Iterable[str]) -> DeltaReport:
+    """Report for deleting ``window[0]``, from MAW(window) - MAW(window[1:]) and the reverse difference.
 
-    The mirror appends ``window[0]`` to the reversed shrunken window; its d,
-    sigma counts and window statistics carry over unchanged.
+    The mirror appends ``window[0]`` to the reversed shrunken window, so it
+    deletes the reversed added words and adds the reversed deleted ones; its
+    d, sigma counts and window statistics carry over unchanged.
     """
     beta, kept = window[0], window[1:]
-    mirror = _append_report(kept[::-1], beta, (w[::-1] for w in after), (w[::-1] for w in before))
+    mirror = _append_report(kept[::-1], beta, (w[::-1] for w in added_words), (w[::-1] for w in deleted_words))
     return replace(
         mirror,
         direction="delete",
@@ -304,8 +347,9 @@ def append_delta(
         raise InputError("append step needs a non-empty window")
     alphabet.require_text(window)
     alphabet.require_symbol(alpha)
-    words = _enumerator(engine, alphabet)
-    return _append_report(window, alpha, words(window), words(window + alpha))
+    before, extended = _window_enumerator(engine, alphabet)(window)
+    before, after = set(before), set(extended(alpha))
+    return _append_report(window, alpha, before - after, after - before)
 
 
 def delete_delta(
@@ -324,7 +368,8 @@ def delete_delta(
         raise InputError("delete step needs a window of length >= 2")
     alphabet.require_text(window)
     words = _enumerator(engine, alphabet)
-    return _delete_report(window, words(window), words(window[1:]))
+    before, after = set(words(window)), set(words(window[1:]))
+    return _delete_report(window, before - after, after - before)
 
 
 @dataclass(frozen=True)
@@ -400,21 +445,23 @@ def slide_steps(
     """Yield ``(fused size, append report, delete report)`` for every step of a slide.
 
     Step i appends to W_i = ``text[i : i + d]`` and deletes the leftmost
-    character of E_i = ``text[i : i + d + 1]``.  MAW(W_{i+1}) is carried to
-    the next step, so each string is enumerated once and only one step's sets
-    are held.
+    character of E_i = ``text[i : i + d + 1]``.  MAW(W_{i+1}) and the means to
+    extend W_{i+1} are carried to the next step, so each string is enumerated
+    once, the ``automaton`` engine builds one automaton per window, and only
+    one step's sets are held.
     """
     _check_slide(text, d, alphabet)
-    words = _enumerator(engine, alphabet)
+    open_window = _window_enumerator(engine, alphabet)
 
-    cur = set(words(text[:d]))
+    words, extended = open_window(text[:d])
+    cur = set(words)
     for i in range(len(text) - d):
-        extended = text[i : i + d + 1]
-        ext = set(words(extended))
-        nxt = set(words(extended[1:]))
+        ext = set(extended(text[i + d]))
+        words, extended = open_window(text[i + 1 : i + d + 1])
+        nxt = set(words)
         yield (
             len(cur ^ nxt),
-            _append_report(extended[:-1], extended[-1], cur, ext),
-            _delete_report(extended, ext, nxt),
+            _append_report(text[i : i + d], text[i + d], cur - ext, ext - cur),
+            _delete_report(text[i : i + d + 1], ext - nxt, nxt - ext),
         )
         cur = nxt

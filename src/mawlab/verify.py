@@ -162,8 +162,28 @@ class _TaskResult:
 
 
 @dataclass(frozen=True)
+class TightnessScanConfig:
+    """The grid a tightness scan ran over: window lengths, extended-window sigmas and engine.
+
+    Grid cells with no extremal family (sigma' < 2, or sigma' - 1 > d) have no row.
+    """
+
+    d_values: tuple[int, ...]
+    sigma_ext_values: tuple[int, ...]
+    engine: str
+
+    def to_payload(self) -> dict:
+        return {
+            "mode": "tightness",
+            "d_values": list(self.d_values),
+            "sigma_ext_values": list(self.sigma_ext_values),
+            "engine": self.engine,
+        }
+
+
+@dataclass(frozen=True)
 class CampaignReport:
-    config: CampaignConfig
+    config: CampaignConfig | TightnessScanConfig
     instances: int
     steps: int
     bounds: dict
@@ -475,10 +495,11 @@ def tightness_scan(
     carries as ``expected_delta``.  Any slack is recorded as a falsification.
     """
     started = time.perf_counter()
+    config = TightnessScanConfig(tuple(sorted(set(d_range))), tuple(sorted(set(sigma_range))), engine)
     rows: list[dict] = []
     falsifications: list[dict] = []
-    for d in sorted(set(d_range)):
-        for sigma_ext in sorted(set(sigma_range)):
+    for d in config.d_values:
+        for sigma_ext in config.sigma_ext_values:
             sigma_w = sigma_ext - 1
             if sigma_ext == 2:
                 inst = gen_unary_v(d) if d <= 2 else gen_binary_extremal(d)
@@ -508,7 +529,6 @@ def tightness_scan(
                         "detail": f"family {inst.family_id} missed the bound by {slack}",
                     }
                 )
-    config = CampaignConfig(mode="exhaustive", sigmas=(2,), min_len=0, max_len=0)
     return CampaignReport(
         config=config,
         instances=len(rows),

@@ -70,6 +70,38 @@ class TestAutomaton:
                 assert transition_count(sam) <= 3 * n - 4
 
 
+def extension_matches_fresh_build(s, extra, alphabet):
+    sam = SuffixAutomaton(s)
+    sam.extend(extra)
+    fresh = SuffixAutomaton(s + extra)
+    assert sam.subject == s + extra
+    assert sam.state_count == fresh.state_count, (s, extra)
+    assert sorted(sam.maw_words(alphabet)) == sorted(fresh.maw_words(alphabet)), (s, extra)
+
+
+class TestOnlineExtension:
+    def test_one_symbol_matches_fresh_build_exhaustive(self):
+        for alphabet, max_n in ((BIN, 10), (ABC, 6)):
+            for n in range(0, max_n + 1):
+                for tup in product(alphabet.symbols, repeat=n):
+                    s = "".join(tup)
+                    for c in alphabet:
+                        extension_matches_fresh_build(s, c, alphabet)
+
+    def test_multi_symbol_extension(self):
+        abcd = Alphabet.of("abcd")
+        extension_matches_fresh_build("abcab", "cabcabd", abcd)
+        extension_matches_fresh_build("", "abacadbd", abcd)
+        sam = SuffixAutomaton("ab")
+        sam.extend("")
+        assert sam.subject == "ab" and sam.state_count == SuffixAutomaton("ab").state_count
+
+    @settings(max_examples=200)
+    @given(st.text(alphabet="abc", max_size=40), st.text(alphabet="abc", max_size=20))
+    def test_extension_property(self, s, extra):
+        extension_matches_fresh_build(s, extra, ABC)
+
+
 class TestFastEnumerator:
     def test_golden(self):
         abcd = Alphabet.of("abcd")

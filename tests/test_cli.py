@@ -129,7 +129,7 @@ class TestSlideCommand:
         ]
         assert expected == rows
 
-    def test_builds_two_automata_per_step(self, capsys, monkeypatch):
+    def test_builds_one_automaton_per_window(self, capsys, monkeypatch):
         builds = []
         original = SuffixAutomaton.__init__
 
@@ -141,7 +141,7 @@ class TestSlideCommand:
         text, d = "abaababaabbabaabab", 5
         code, _, _ = run_cli(capsys, "slide", text, "--window", str(d), "--per-step", "--format", "json")
         assert code == 0
-        assert len(builds) == 2 * (len(text) - d) + 1
+        assert builds == [text[i : i + d] for i in range(len(text) - d + 1)]
 
     def test_totals_verdicts_in_payload(self, capsys):
         _, out, _ = run_cli(capsys, "slide", "abcabcabc", "--window", "2", "--format", "json")

@@ -25,6 +25,18 @@ def test_slide_json_payload_golden():
     assert payload == expected
 
 
+# Seeded 80-symbol ACGT text: a window of 40 is much longer than the alphabet.
+ACGT80 = "GATTCTGGCAAGGCAGCTGCAATTATGATCTAGCCGCGGGGGGTTTGCGTCGTGAAATTTAAACTTTAGTCTCCACGGTT"
+
+
+def test_slide_long_window_per_step_payload_golden():
+    code, out = capture(["slide", ACGT80, "--alphabet", "ACGT", "--window", "40", "--per-step", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    expected = json.loads((DATA / "slide_acgt80_w40_payload.json").read_text())
+    assert payload == expected
+
+
 def test_slide_csv_golden():
     code, out = capture(["slide", "abababab", "--window", "4", "--format", "csv"])
     assert code == 0

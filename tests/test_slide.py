@@ -1,3 +1,5 @@
+import gc
+import random
 from itertools import product
 
 import pytest
@@ -209,6 +211,8 @@ class TestSlideSteps:
         # Every step of every text and window length: the walk's reports equal the
         # single-step reports of the same windows, verdicts included, and its fused
         # sizes equal slide_totals.  Expected reports are memoised per extended window.
+        # The walk on the engine name "automaton", which takes the one-automaton-per-
+        # window path that an engine object never reaches, yields equal reports.
         for symbols, max_n in (("01", 10), ("abc", 6)):
             alphabet = Alphabet.of(symbols)
             sigma = alphabet.size
@@ -222,8 +226,8 @@ class TestSlideSteps:
                 for tup in product(symbols, repeat=n):
                     text = "".join(tup)
                     for d in range(1, n):
-                        fused = []
-                        for i, (size, ap, de) in enumerate(slide_steps(text, d, alphabet, engine)):
+                        walk = list(slide_steps(text, d, alphabet, engine))
+                        for i, (_, ap, de) in enumerate(walk):
                             ext = text[i : i + d + 1]
                             if ext not in expected:
                                 expected[ext] = (
@@ -231,8 +235,39 @@ class TestSlideSteps:
                                     payload(delete_delta(ext, alphabet, engine)),
                                 )
                             assert (payload(ap), payload(de)) == expected[ext], (text, d, i)
-                            fused.append(size)
-                        assert tuple(fused) == slide_totals(text, d, alphabet, engine).per_step, (text, d)
+                        fused = tuple(size for size, _, _ in walk)
+                        assert fused == slide_totals(text, d, alphabet, engine).per_step, (text, d)
+                        assert list(slide_steps(text, d, alphabet, "automaton")) == walk, (text, d)
+
+    @pytest.mark.parametrize("sigma", [2, 4, 26])
+    @pytest.mark.parametrize("d", [5, 40])
+    def test_online_automaton_walk_matches_oracle_walk(self, sigma, d):
+        symbols = "abcdefghijklmnopqrstuvwxyz"[:sigma]
+        alphabet = Alphabet.of(symbols)
+        text = "".join(random.Random(7 * sigma + d).choices(symbols, k=120))
+
+        def payloads(engine):
+            return [
+                (size, *(r.with_verdicts(check_step(r, sigma)).to_payload() for r in (ap, de)))
+                for size, ap, de in slide_steps(text, d, alphabet, engine)
+            ]
+
+        assert payloads("automaton") == payloads("oracle")
+
+    def test_automaton_walk_leaves_at_most_one_automaton_to_the_cycle_collector(self):
+        text = "".join(random.Random(3).choices("ACGT", k=200))
+        d = 50
+        gc.collect()
+        gc.disable()
+        try:
+            steps = list(slide_steps(text, d, Alphabet.of("ACGT")))
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert len(steps) == len(text) - d
+        # Only the last window's automaton is never discarded: at most 2d - 1
+        # states, each with its transition dict.
+        assert found <= 2 * (2 * d - 1)
 
     def test_engine_name_matches_engine_object(self):
         text = "abcabbacbcaab"

@@ -149,6 +149,19 @@ class TestTightnessScan:
         for row in report.tightness:
             assert row["max_delta"] == max(3, row["d"])
 
+    def test_config_names_the_scanned_grid(self):
+        report = tightness_scan(range(1, 4), range(2, 4), "oracle")
+        assert report.to_payload()["config"] == {
+            "mode": "tightness",
+            "d_values": [1, 2, 3],
+            "sigma_ext_values": [2, 3],
+            "engine": "oracle",
+        }
+        assert report.tightness == tightness_scan(range(1, 4), range(2, 4)).tightness
+        assert {(row["d"], row["sigma_ext"]) for row in report.tightness} == {
+            (1, 2), (2, 2), (2, 3), (3, 2), (3, 3)
+        }
+
     def test_scan_matches_exhaustive_maxima(self):
         sweep = run_exhaustive(small_exhaustive(max_len=7, engine="automaton"))
         scan = tightness_scan(range(1, 8), [2])
