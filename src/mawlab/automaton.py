@@ -74,17 +74,6 @@ class SuffixAutomaton:
         self.subject += symbols
         self.last = last
 
-    def discard(self) -> None:
-        """Drop the suffix links, which close reference cycles with the transitions.
-
-        Without them the states are freed as soon as the automaton is
-        unreachable, instead of waiting for the cyclic garbage collector; the
-        slide discards each window's automaton after its last use.  A
-        discarded automaton can be neither extended nor enumerated.
-        """
-        for state in self.states:
-            state.link = None
-
     @property
     def state_count(self) -> int:
         return len(self.states)

@@ -20,7 +20,7 @@ from . import __version__
 from .core import Alphabet, InputError
 from .bounds import BoundId, check_step, check_totals
 from .families import generate, measure
-from .slide import MawEngine, SlideSummary, slide_steps
+from .slide import _ENUMERATORS, SlideSummary, slide_steps
 from .verify import PRESETS, CampaignConfig, run_exhaustive, run_random
 
 EXIT_OK = 0
@@ -96,11 +96,11 @@ def _emit(args: argparse.Namespace, payload: dict, alphabet: str | None, text_li
 def _cmd_maw(args: argparse.Namespace) -> int:
     text = _read_text(args)
     alphabet = _resolve_alphabet(args, text)
-    engine = MawEngine(alphabet, _resolve_engine(args.engine))
-    maw_set = engine.maw_set(text)
+    maw_set = _ENUMERATORS[_resolve_engine(args.engine)](text, alphabet)
     payload = maw_set.to_payload()
-    payload["table_columns"] = ["word", "length"]
-    payload["table"] = [{"word": w, "length": len(w)} for w in maw_set.words]
+    if args.format != "text":
+        payload["table_columns"] = ["word", "length"]
+        payload["table"] = [{"word": w, "length": len(w)} for w in maw_set.words]
     _emit(args, payload, alphabet.as_str(), [",".join(maw_set.words)])
     return EXIT_OK
 

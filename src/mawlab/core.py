@@ -89,5 +89,8 @@ class Alphabet:
 
 
 def canonical_words(words: Iterable[str]) -> tuple[str, ...]:
-    """Sort words by (length, symbol code) -- the package-wide canonical order."""
-    return tuple(sorted(words, key=lambda w: (len(w), w)))
+    """Sort words by (length, symbol code) -- the package-wide canonical order.
+
+    A stable sort by length of the lexicographically sorted words.
+    """
+    return tuple(sorted(sorted(words), key=len))

@@ -1,11 +1,10 @@
 """Exact MAW-set change for one slide step, and totals over a whole text.
 
 A step is either an append (window S gains a character alpha on the right) or
-a delete (the leftmost character beta is removed).  Deltas are literal set
-differences of two full MAW sets, and a report is built from those two
-differences alone: only the changed words are sorted and, on a delete,
-reversed.  The structural facts below are asserted on every step rather than
-assumed:
+a delete (the leftmost character beta is removed).  A report is built from
+the step's two differences, MAW(before) - MAW(after) and the reverse, alone:
+only the changed words are sorted and, on a delete, reversed.  The
+structural facts below are asserted on every step rather than assumed:
 
 * an append deletes exactly one MAW;
 * the added MAWs partition into three types by which maximal proper factor
@@ -20,9 +19,42 @@ window with the reversed words of the two forward differences, and every
 reported word is reversed back.  Type labels on a delete report are
 therefore mirrored, with prefix and suffix roles swapped.
 
-A slide keeps one automaton per window: step i extends W_i's automaton by the
-appended symbol to enumerate the extended window E_i, and builds a fresh one
-for W_{i+1}.  Other engines enumerate each string through their ``words``.
+Where the differences come from.  ``append_delta`` and ``delete_delta`` take
+literal set differences of two full MAW sets on every engine, and so does a
+slide on the oracle or on any ``MawEngine`` (every campaign).  A slide on the
+engine name ``automaton`` builds no automaton and no full MAW set: it derives
+each step's differences from ``find`` tests bounded to the extended window.
+For W, alpha and E = W + alpha, let L be the length of the longest suffix of
+E that occurs in W (a suffix of an occurring word occurs, so a binary search
+finds L).  The words of E absent from W are exactly the suffixes of E longer
+than L, and each of them occurs in E only at its end.
+
+* Deleted: a MAW of W that occurs in E is such a suffix whose proper suffix
+  occurs in W, so it is E[-(L+1):]; its proper prefix is a suffix of W, so
+  it is a MAW of W.  Exactly one word.
+* Added (A), a + u new to W: a + u = E[-k:] with k > L, which occurs in E
+  only at its end, so a + u + b is absent from E for every b.  u + b must
+  occur in E, and u can be followed by b only if u also occurs in W, so
+  k = L + 1.  The words are E[-(L+1):] + b for each symbol b of E with
+  E[-L:] + b occurring in E (E[-L:] is empty when L = 0).
+* Added (B), u + b new to W: u + b = E[-k:] with k > L, so a + u + b
+  occurs in E only as E's suffix and is absent exactly when a is not
+  E[-(k+1)].  a + u must occur in E.  If it occurs only at E's end, E ends
+  in a run of one symbol c and the word is E[-(L+1):] + c, which (A)
+  already yields.  So it suffices to find a + u in W, where u is W's suffix
+  of length k - 1.  As W's suffix, u is preceded by E[-(k+1)], so u must
+  occur in W once more: it is a repeated suffix of W.  The loop over k stops
+  at the first u that is not; no longer suffix is repeated either.
+* Delete side: the same derivation on the text reversed once per slide,
+  for the window reverse(E[1:]) and the appended symbol E[0]; the words are
+  reversed back.
+* Fused size: |MAW(W_i) ^ MAW(W_{i+1})| = |D_app ^ D_del| for the two
+  steps' differences D, since (X ^ Y) ^ (Y ^ Z) = X ^ Z.
+
+A step costs O(log d + sigma_E * (r - L + 2)) C-level ``find`` calls, r being
+the length of W's longest repeated suffix.  On this path the one-deletion
+count holds by construction, so the reports still assert it but the evidence
+for it comes from the literal differences.
 
 The two window statistics of the prior per-step bound (Crochemore et al.,
 Inf. Comput. 2020), for an append of alpha to W:
@@ -54,8 +86,8 @@ from .core import (
     TheoremViolationError,
     canonical_words,
 )
-from .automaton import SuffixAutomaton, enumerate_maws_fast
-from .oracle import MawSet, enumerate_maws_naive
+from .automaton import enumerate_maws_fast
+from .oracle import enumerate_maws_naive
 
 
 class MawType(IntEnum):
@@ -100,35 +132,6 @@ class MawEngine:
         if got is None:
             got = self._cache[subject] = self._enumerate(subject)
         return got
-
-    def maw_set(self, subject: str) -> MawSet:
-        return MawSet(len(subject), self.alphabet, self.words(subject))
-
-
-def _window_enumerator(
-    engine: str | MawEngine, alphabet: Alphabet
-) -> Callable[[str], tuple[Iterable[str], Callable[[str], Iterable[str]]]]:
-    """For a window W: the words of MAW(W), and a one-shot map from alpha to the words of MAW(W + alpha).
-
-    The ``automaton`` engine extends W's automaton by alpha, so a window costs
-    one build; any other engine enumerates W + alpha through its ``words``.
-    """
-    if engine != "automaton":
-        words = _enumerator(engine, alphabet)
-        return lambda window: (words(window), lambda alpha: words(window + alpha))
-
-    def open_window(window: str) -> tuple[list[str], Callable[[str], list[str]]]:
-        sam = SuffixAutomaton(window)
-
-        def extended(alpha: str) -> list[str]:
-            sam.extend(alpha)
-            words = sam.maw_words(alphabet)
-            sam.discard()
-            return words
-
-        return sam.maw_words(alphabet), extended
-
-    return open_window
 
 
 @dataclass(frozen=True)
@@ -293,7 +296,7 @@ def _append_report(window: str, alpha: str, deleted_words: Iterable[str], added_
     buckets: dict[MawType, list[str]] = {t: [] for t in MawType}
     for word in added:
         buckets[classify_added(word, window)].append(word)
-    by_type = {t: canonical_words(ws) for t, ws in buckets.items()}
+    by_type = {t: tuple(ws) for t, ws in buckets.items()}
 
     return DeltaReport(
         direction="append",
@@ -347,8 +350,8 @@ def append_delta(
         raise InputError("append step needs a non-empty window")
     alphabet.require_text(window)
     alphabet.require_symbol(alpha)
-    before, extended = _window_enumerator(engine, alphabet)(window)
-    before, after = set(before), set(extended(alpha))
+    words = _enumerator(engine, alphabet)
+    before, after = set(words(window)), set(words(window + alpha))
     return _append_report(window, alpha, before - after, after - before)
 
 
@@ -412,27 +415,93 @@ def _check_slide(text: str, d: int, alphabet: Alphabet) -> None:
     alphabet.require_text(text)
 
 
+def _append_change(text: str, start: int, d: int, symbols: Iterable[str]) -> tuple[str, set[str]]:
+    """The one word of MAW(W) - MAW(E), and MAW(E) - MAW(W).
+
+    W is ``text[start : start + d]``, E is W + ``text[start + d]`` and
+    ``symbols`` are the symbols of E.  Every test is a ``find`` bounded to E;
+    the module docstring derives the rules.
+    """
+    end = start + d + 1
+    # L: the longest suffix of E that occurs in W.
+    lo, hi = 0, d
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if text.find(text[end - mid : end], start, end - 1) >= 0:
+            lo = mid
+        else:
+            hi = mid - 1
+    deleted = text[end - lo - 1 : end]
+    stem = text[end - lo : end]
+    added = {deleted + b for b in symbols if text.find(stem + b, start, end) >= 0}
+    for k in range(lo + 1, d + 1):
+        u = text[end - k : end - 1]  # W's suffix of length k - 1
+        if k >= 2 and text.find(u, start, end - 2) < 0:
+            break  # u is not a repeated suffix of W, and no longer suffix is
+        tail = text[end - k : end]
+        before = text[end - k - 1]
+        for a in symbols:
+            if a != before and text.find(a + u, start, end - 1) >= 0:
+                added.add(a + tail)
+    return deleted, added
+
+
+def _step_differences(
+    text: str, d: int, alphabet: Alphabet, engine: str | MawEngine
+) -> Iterator[tuple[set[str], set[str], set[str], set[str]]]:
+    """Per step i: MAW(W_i) - MAW(E_i), MAW(E_i) - MAW(W_i), MAW(E_i) - MAW(W_{i+1}), MAW(W_{i+1}) - MAW(E_i).
+
+    The engine name ``automaton`` derives them with :func:`_append_change`,
+    the delete side from the mirror append on the reversed text; any other
+    engine takes literal differences of the sets its ``words`` enumerate.
+    """
+    n = len(text)
+    if engine == "automaton":
+        mirror = text[::-1]
+        for i in range(n - d):
+            symbols = set(text[i : i + d + 1])
+            gone, new = _append_change(text, i, d, symbols)
+            mirror_gone, mirror_new = _append_change(mirror, n - 1 - i - d, d, symbols)
+            yield {gone}, new, {w[::-1] for w in mirror_new}, {mirror_gone[::-1]}
+        return
+    words = _enumerator(engine, alphabet)
+    cur = set(words(text[:d]))
+    for i in range(n - d):
+        ext, nxt = set(words(text[i : i + d + 1])), set(words(text[i + 1 : i + d + 1]))
+        yield cur - ext, ext - cur, ext - nxt, nxt - ext
+        cur = nxt
+
+
+def _fused_size(gone: set[str], new: set[str], removed: set[str], gained: set[str]) -> int:
+    """|MAW(W_i) ^ MAW(W_{i+1})| from one step's four differences: (X ^ Y) ^ (Y ^ Z) = X ^ Z."""
+    return len((gone | new) ^ (removed | gained))
+
+
 def slide_totals(
     text: str,
     d: int,
     alphabet: Alphabet,
     engine: str | MawEngine = "automaton",
 ) -> SlideSummary:
-    """Sizes of MAW(T[i..i+d)) symmetric-difference MAW(T[i+1..i+d+1)) for all i."""
-    _check_slide(text, d, alphabet)
-    words = _enumerator(engine, alphabet)
+    """Sizes of MAW(T[i..i+d)) symmetric-difference MAW(T[i+1..i+d+1)) for all i.
 
+    The engine name ``automaton`` reads them off the derived step
+    differences; any other engine enumerates each window once.
+    """
+    _check_slide(text, d, alphabet)
     n = len(text)
+    sigma_max = max(len(set(text[i : i + d])) for i in range(n - d + 1))
+    if engine == "automaton":
+        sizes = [_fused_size(*diffs) for diffs in _step_differences(text, d, alphabet, engine)]
+        return SlideSummary.of(n, d, sizes, sigma_max)
+
+    words = _enumerator(engine, alphabet)
     prev = set(words(text[:d]))
-    sigma_max = len(set(text[:d]))
-    sizes: list[int] = []
+    sizes = []
     for i in range(1, n - d + 1):
-        window = text[i : i + d]
-        sigma_max = max(sigma_max, len(set(window)))
-        cur = set(words(window))
+        cur = set(words(text[i : i + d]))
         sizes.append(len(prev ^ cur))
         prev = cur
-
     return SlideSummary.of(n, d, sizes, sigma_max)
 
 
@@ -445,23 +514,14 @@ def slide_steps(
     """Yield ``(fused size, append report, delete report)`` for every step of a slide.
 
     Step i appends to W_i = ``text[i : i + d]`` and deletes the leftmost
-    character of E_i = ``text[i : i + d + 1]``.  MAW(W_{i+1}) and the means to
-    extend W_{i+1} are carried to the next step, so each string is enumerated
-    once, the ``automaton`` engine builds one automaton per window, and only
-    one step's sets are held.
+    character of E_i = ``text[i : i + d + 1]``.  The engine name
+    ``automaton`` builds no automaton and no full MAW set; any other engine
+    enumerates each string once and holds only one step's sets.
     """
     _check_slide(text, d, alphabet)
-    open_window = _window_enumerator(engine, alphabet)
-
-    words, extended = open_window(text[:d])
-    cur = set(words)
-    for i in range(len(text) - d):
-        ext = set(extended(text[i + d]))
-        words, extended = open_window(text[i + 1 : i + d + 1])
-        nxt = set(words)
+    for i, (gone, new, removed, gained) in enumerate(_step_differences(text, d, alphabet, engine)):
         yield (
-            len(cur ^ nxt),
-            _append_report(text[i : i + d], text[i + d], cur - ext, ext - cur),
-            _delete_report(text[i : i + d + 1], ext - nxt, nxt - ext),
+            _fused_size(gone, new, removed, gained),
+            _append_report(text[i : i + d], text[i + d], gone, new),
+            _delete_report(text[i : i + d + 1], removed, gained),
         )
-        cur = nxt

@@ -8,6 +8,7 @@ import pytest
 
 from mawlab.automaton import SuffixAutomaton
 from mawlab.cli import main
+from mawlab.oracle import MawSet
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +67,20 @@ class TestMawCommand:
             path.write_bytes(content)
             code, out, err = run_cli(capsys, "maw", "--file", str(path))
             assert code == 2 and out == "" and err.startswith("error:") and "line break" in err
+
+    @pytest.mark.parametrize("engine", ["oracle", "automaton"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_checks_one_maw_set(self, capsys, monkeypatch, engine, fmt):
+        checked = []
+        original = MawSet.__post_init__
+
+        def counting_post_init(self):
+            checked.append(self.words)
+            original(self)
+
+        monkeypatch.setattr(MawSet, "__post_init__", counting_post_init)
+        code, _, _ = run_cli(capsys, "maw", "cbaaaa", "--alphabet", "abcd", "--engine", engine, "--format", fmt)
+        assert code == 0 and len(checked) == 1
 
     def test_engines_agree(self, capsys):
         _, out1, _ = run_cli(capsys, "maw", "cbaaaa", "--alphabet", "abcd", "--engine", "oracle")
@@ -129,7 +144,7 @@ class TestSlideCommand:
         ]
         assert expected == rows
 
-    def test_builds_one_automaton_per_window(self, capsys, monkeypatch):
+    def test_default_slide_builds_no_automaton(self, capsys, monkeypatch):
         builds = []
         original = SuffixAutomaton.__init__
 
@@ -141,7 +156,7 @@ class TestSlideCommand:
         text, d = "abaababaabbabaabab", 5
         code, _, _ = run_cli(capsys, "slide", text, "--window", str(d), "--per-step", "--format", "json")
         assert code == 0
-        assert builds == [text[i : i + d] for i in range(len(text) - d + 1)]
+        assert builds == []
 
     def test_totals_verdicts_in_payload(self, capsys):
         _, out, _ = run_cli(capsys, "slide", "abcabcabc", "--window", "2", "--format", "json")

@@ -37,6 +37,23 @@ def test_slide_long_window_per_step_payload_golden():
     assert payload == expected
 
 
+def mutated_periodic_text() -> str:
+    """The period-3 text (aab)* of length 200 with four substituted symbols."""
+    text = list(("aab" * 67)[:200])
+    for pos, sym in ((50, "c"), (101, "a"), (150, "c"), (151, "b")):
+        text[pos] = sym
+    return "".join(text)
+
+
+def test_slide_mutated_periodic_per_step_payload_golden():
+    text = mutated_periodic_text()
+    code, out = capture(["slide", text, "--alphabet", "abc", "--window", "60", "--per-step", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    expected = json.loads((DATA / "slide_periodic200_w60_payload.json").read_text())
+    assert payload == expected
+
+
 def test_slide_csv_golden():
     code, out = capture(["slide", "abababab", "--window", "4", "--format", "csv"])
     assert code == 0

@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 from itertools import product
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mawlab import slide
 from mawlab.bounds import check_step
 from mawlab.core import Alphabet, ConsistencyError, InputError, TheoremViolationError
 from mawlab.oracle import enumerate_maws_naive
@@ -22,6 +24,14 @@ from mawlab.slide import (
 
 BIN = Alphabet.of("01")
 ABCD = Alphabet.of("abcd")
+
+
+def walk_payloads(text, d, alphabet, engine):
+    """Every step of a slide as (fused size, append payload, delete payload), verdicts included."""
+    return [
+        (size, *(r.with_verdicts(check_step(r, alphabet.size)).to_payload() for r in (ap, de)))
+        for size, ap, de in slide_steps(text, d, alphabet, engine)
+    ]
 
 
 class TestAppendDelta:
@@ -211,8 +221,9 @@ class TestSlideSteps:
         # Every step of every text and window length: the walk's reports equal the
         # single-step reports of the same windows, verdicts included, and its fused
         # sizes equal slide_totals.  Expected reports are memoised per extended window.
-        # The walk on the engine name "automaton", which takes the one-automaton-per-
-        # window path that an engine object never reaches, yields equal reports.
+        # The walk on the engine name "automaton", which derives each step's
+        # differences and which an engine object never reaches, yields equal reports
+        # and sizes.
         for symbols, max_n in (("01", 10), ("abc", 6)):
             alphabet = Alphabet.of(symbols)
             sigma = alphabet.size
@@ -238,6 +249,7 @@ class TestSlideSteps:
                         fused = tuple(size for size, _, _ in walk)
                         assert fused == slide_totals(text, d, alphabet, engine).per_step, (text, d)
                         assert list(slide_steps(text, d, alphabet, "automaton")) == walk, (text, d)
+                        assert slide_totals(text, d, alphabet, "automaton").per_step == fused, (text, d)
 
     @pytest.mark.parametrize("sigma", [2, 4, 26])
     @pytest.mark.parametrize("d", [5, 40])
@@ -245,29 +257,30 @@ class TestSlideSteps:
         symbols = "abcdefghijklmnopqrstuvwxyz"[:sigma]
         alphabet = Alphabet.of(symbols)
         text = "".join(random.Random(7 * sigma + d).choices(symbols, k=120))
+        assert walk_payloads(text, d, alphabet, "automaton") == walk_payloads(text, d, alphabet, "oracle")
 
-        def payloads(engine):
-            return [
-                (size, *(r.with_verdicts(check_step(r, sigma)).to_payload() for r in (ap, de)))
-                for size, ap, de in slide_steps(text, d, alphabet, engine)
-            ]
-
-        assert payloads("automaton") == payloads("oracle")
-
-    def test_automaton_walk_leaves_at_most_one_automaton_to_the_cycle_collector(self):
+    def test_default_walk_leaves_nothing_to_the_cycle_collector(self):
         text = "".join(random.Random(3).choices("ACGT", k=200))
         d = 50
         gc.collect()
         gc.disable()
         try:
             steps = list(slide_steps(text, d, Alphabet.of("ACGT")))
+            summary = slide_totals(text, d, Alphabet.of("ACGT"))
             found = gc.collect()
         finally:
             gc.enable()
-        assert len(steps) == len(text) - d
-        # Only the last window's automaton is never discarded: at most 2d - 1
-        # states, each with its transition dict.
-        assert found <= 2 * (2 * d - 1)
+        assert len(steps) == len(summary.per_step) == len(text) - d
+        # The derivation builds no automaton, whose links and transitions form cycles.
+        assert found == 0
+
+    def test_derived_walk_matches_engine_walk_dna_long_window(self):
+        alphabet = Alphabet.of("ACGT")
+        text = "".join(random.Random(1500).choices("ACGT", k=1500))
+        d = 300
+        derived = list(slide_steps(text, d, alphabet))
+        assert derived == list(slide_steps(text, d, alphabet, MawEngine(alphabet, "automaton")))
+        assert slide_totals(text, d, alphabet).per_step == tuple(size for size, _, _ in derived)
 
     def test_engine_name_matches_engine_object(self):
         text = "abcabbacbcaab"
@@ -281,3 +294,80 @@ class TestSlideSteps:
             list(slide_steps("aaaa", 4, Alphabet.of("a")))
         with pytest.raises(InputError):
             list(slide_steps("abz", 1, Alphabet.of("ab")))
+
+
+def periodic_with_break(period: str, d: int, breaker: str) -> str:
+    """A periodic run longer than the window, one symbol that breaks the period, and the period again."""
+    return (period * (d + 3))[: d + 3] + breaker + (period * 8)[:8]
+
+
+LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def case(label, text, d, symbols):
+    return pytest.param(text, d, symbols, id=f"{label}-n{len(text)}-d{d}")
+
+
+DERIVATION_CASES = [
+    # unary windows: the extended window's suffix of length d occurs in the window (L = d)
+    *[case("unary", "a" * n, d, "a") for n in (2, 3, 9, 25) for d in range(1, n)],
+    *[case("unary-binary-alphabet", "a" * 20, d, "ab") for d in (1, 7, 19)],
+    # periodic runs across a break: long repeated suffixes, short L, deep case-B loops
+    *[
+        case(f"{period}-break-{breaker}", periodic_with_break(period, d, breaker), d, symbols)
+        for period, breaker, symbols in (("ab", "b", "ab"), ("ab", "c", "abc"), ("abc", "a", "abc"), ("aab", "b", "ab"))
+        for d in (2, 3, 7, 30, 59, 60)
+    ],
+    *[case("period-ab", ("ab" * 40)[:75], d, "ab") for d in (1, 2, 30, 60, 74)],
+    *[case("period-abc", ("abc" * 30)[:75], d, "abc") for d in (1, 3, 31, 60, 74)],
+    # every appended symbol new to its window (L = 0)
+    *[case("fresh-symbols", "abcdefghij" * 3, d, "abcdefghij") for d in (4, 9)],
+    # d = 1 and d = n - 1
+    *[
+        case(f"ternary-seed{seed}", "".join(random.Random(seed).choices("abc", k=40)), d, "abc")
+        for seed in (1, 2)
+        for d in (1, 39)
+    ],
+    # sigma = 26
+    *[case("sigma26", "".join(random.Random(26).choices(LETTERS, k=150)), d, LETTERS) for d in (1, 5, 30, 149)],
+]
+
+
+@pytest.mark.parametrize("text, d, symbols", DERIVATION_CASES)
+def test_derived_walk_matches_oracle_walk(text, d, symbols):
+    alphabet = Alphabet.of(symbols)
+    oracle = walk_payloads(text, d, alphabet, "oracle")
+    assert walk_payloads(text, d, alphabet, "automaton") == oracle
+    assert slide_totals(text, d, alphabet).per_step == tuple(size for size, _, _ in oracle)
+
+
+class CountingText(str):
+    """A text that counts the ``find`` calls made on it."""
+
+    def find(self, *args):
+        self.finds += 1
+        return str.find(self, *args)
+
+
+@pytest.mark.parametrize(
+    "text, d",
+    [
+        ("".join(random.Random(4).choices("ACGT", k=600)), 200),
+        (periodic_with_break("abc", 60, "a"), 60),
+        ("a" * 50, 20),
+    ],
+    ids=["dna", "periodic-break", "unary"],
+)
+def test_derivation_find_calls_within_the_cost_bound(text, d):
+    # Per step: a binary search for L, one test per symbol for (A), and for each
+    # k in L + 1 .. r + 1 one repeat test and one test per symbol for (B), plus
+    # the repeat test that stops the loop; r is W's longest repeated suffix.
+    for i in range(len(text) - d):
+        window, ext = text[i : i + d], text[i : i + d + 1]
+        L = max(m for m in range(d + 1) if ext[len(ext) - m :] in window)
+        r = max(m for m in range(d) if window[d - m :] in window[:-1])
+        sigma = len(set(ext))
+        counted = CountingText(text)
+        counted.finds = 0
+        slide._append_change(counted, i, d, set(ext))
+        assert counted.finds <= math.ceil(math.log2(d + 1)) + sigma + max(0, r - L + 1) * (sigma + 1) + 1, i
