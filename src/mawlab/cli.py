@@ -27,6 +27,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_FALSIFIED = 3
 
+# Every bound column of a slide row, unchecked until a verdict fills it.
+_UNCHECKED_BOUNDS = dict.fromkeys(b.value for b in BoundId)
 _SLIDE_COLUMNS = [
     "step_index",
     "d",
@@ -37,7 +39,8 @@ _SLIDE_COLUMNS = [
     "m2",
     "m3",
     "delta",
-] + [b.value for b in BoundId]
+    *_UNCHECKED_BOUNDS,
+]
 
 
 def _read_text(args: argparse.Namespace) -> str:
@@ -130,9 +133,8 @@ def _cmd_slide(args: argparse.Namespace) -> int:
             "m2": m2,
             "m3": m3,
             "delta": fused,
+            **_UNCHECKED_BOUNDS,
         }
-        for b in BoundId:
-            row[b.value] = None
         for v in list(ap.verdicts) + list(de.verdicts):
             row[v.bound_id.value] = v.slack
             if not v.satisfied:
@@ -198,6 +200,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_family(args: argparse.Namespace) -> int:
+    if args.check_d is not None and not args.check:
+        raise InputError("--check-d needs --check")
     symbols = tuple(args.alphabet) if args.alphabet else None
     instance = generate(
         args.family,

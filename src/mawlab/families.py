@@ -311,8 +311,11 @@ def measure(
 
     Returns a payload with observed values and an ``ok`` flag.  For
     :class:`AlternatingBinary` a window length ``d`` must be supplied; the
-    exact per-step value is only asserted for even ``d``.
+    exact per-step value is only asserted for even ``d``.  Every other family
+    fixes its own window, and a ``d`` given for it is an input error.
     """
+    if d is not None and instance.family_id != "AlternatingBinary":
+        raise InputError(f"only AlternatingBinary takes a window length; {instance.family_id} fixes its own")
     result: dict = {"family_id": instance.family_id, "ok": True}
 
     def fail(key: str, expected, got) -> None:

@@ -10,6 +10,14 @@ alphabet when
 where the empty string is deemed to occur in every subject, so a single
 symbol absent from S is always a MAW.  This module implements the definition
 literally and serves as ground truth for the automaton-based enumerator.
+
+:func:`enumerate_maws_naive` tests factor pairs: a word a·u·b of length
+l + 2 is a MAW exactly when a·u and u·b are factors and a·u·b is not.  It
+builds the factor sets of S one length at a time and stops at the first
+length at which no factor repeats, since the middle u of a MAW always occurs
+twice in S.  A text's longest repeated factor is about 2·log_sigma(n) long on
+random text, so the oracle holds three factor sets of about n words each,
+not every substring of S.  :func:`is_maw` tests one word.
 """
 
 from __future__ import annotations
@@ -67,51 +75,38 @@ def is_maw(word: str, subject: str, alphabet: Alphabet) -> bool:
     return word[1:] in subject and word[:-1] in subject
 
 
-def _extension_maps(subject: str) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
-    """Left/right one-character extension sets for every substring (and the empty string).
-
-    ``ext_left[u]`` holds every a with a+u a substring of the subject;
-    ``ext_right[u]`` every b with u+b a substring.  Built from one pass over
-    all occurrence ranges, so it is an exhaustive-by-construction oracle.
-    """
-    n = len(subject)
-    chars = set(subject)
-    ext_left: dict[str, set[str]] = {"": set(chars)}
-    ext_right: dict[str, set[str]] = {"": set(chars)}
-    for i in range(n):
-        left = subject[i - 1] if i else None
-        for j in range(i + 1, n + 1):
-            u = subject[i:j]
-            lefts = ext_left.get(u)
-            if lefts is None:
-                lefts = ext_left[u] = set()
-                ext_right[u] = set()
-            if left is not None:
-                lefts.add(left)
-            if j < n:
-                ext_right[u].add(subject[j])
-    return ext_left, ext_right
-
-
 def enumerate_maws_naive(subject: str, alphabet: Alphabet) -> MawSet:
-    """Enumerate all MAWs by testing every candidate a+u+b with a+u and u+b substrings.
+    """Enumerate all MAWs by testing factor pairs, one middle length at a time.
 
-    Length-1 MAWs are the alphabet symbols absent from the subject; for the
-    empty subject that is the whole alphabet.
+    With F_l the set of factors of length l (F_0 = {""}), the MAWs of length
+    l + 2 are the words x·b with x in F_{l+1}, x[1:]·b in F_{l+1} and x·b not
+    in F_{l+2}.  Length-1 MAWs are the alphabet symbols absent from the
+    subject; for the empty subject that is the whole alphabet.
+
+    The loop stops at the first l >= 1 at which no factor of length l repeats
+    (|F_l| = n - l + 1).  Lemma: the middle u of a MAW a·u·b occurs twice.
+    If u occurred only at position i, then a·u would occur only at i - 1 and
+    u·b only at i, so a·u·b would occur at i - 1.  A factor longer than l
+    repeats only if its length-l prefix does, so no longer middle exists.
     """
     alphabet.require_text(subject)
-    present = set(subject)
-    words: list[str] = [a for a in alphabet if a not in present]
+    n = len(subject)
+    middles: set[str] = {""}
+    factors = set(subject)
+    words: list[str] = [a for a in alphabet if a not in factors]
 
-    ext_left, ext_right = _extension_maps(subject)
-    for u, lefts in ext_left.items():
-        rights = ext_right[u]
-        if not rights:
-            continue
-        for a in lefts:
-            blocked = ext_right[a + u]
-            for b in rights:
-                if b not in blocked:
-                    words.append(a + u + b)
+    for length in range(n):
+        if len(middles) == n - length + 1:
+            break
+        longer = {subject[i : i + length + 2] for i in range(n - length - 1)}
+        rights: dict[str, list[str]] = {}
+        for y in factors:
+            rights.setdefault(y[:-1], []).append(y[-1])
+        for x in factors:
+            for b in rights.get(x[1:], ()):
+                word = x + b
+                if word not in longer:
+                    words.append(word)
+        middles, factors = factors, longer
 
-    return MawSet(len(subject), alphabet, canonical_words(words))
+    return MawSet(n, alphabet, canonical_words(words))

@@ -75,7 +75,7 @@ prefix-side statistics of the shrunken window with the deleted symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -174,7 +174,8 @@ class DeltaReport:
 
     @property
     def type_counts(self) -> tuple[int, int, int]:
-        return tuple(len(self.added_by_type[t]) for t in MawType)  # type: ignore[return-value]
+        by_type = self.added_by_type
+        return len(by_type[MawType.TYPE1]), len(by_type[MawType.TYPE2]), len(by_type[MawType.TYPE3])
 
     @property
     def alpha_occurs(self) -> bool:
@@ -182,7 +183,10 @@ class DeltaReport:
         return self.sigma_window == self.sigma_ext
 
     def with_verdicts(self, verdicts) -> "DeltaReport":
-        return replace(self, verdicts=tuple(verdicts))
+        """A copy carrying ``verdicts``; copies the field dict, as the report has no invariant to re-check."""
+        copy = object.__new__(DeltaReport)
+        copy.__dict__.update(self.__dict__, verdicts=tuple(verdicts))
+        return copy
 
     def to_payload(self) -> dict:
         return {
@@ -283,8 +287,8 @@ def _repeat_len(window: str) -> int:
     return lo
 
 
-def _append_report(window: str, alpha: str, deleted_words: Iterable[str], added_words: Iterable[str]) -> DeltaReport:
-    """Report for appending ``alpha`` to ``window``, from MAW(window) - MAW(window + alpha) and the reverse difference."""
+def _append_fields(window: str, alpha: str, deleted_words: Iterable[str], added_words: Iterable[str]) -> dict:
+    """Fields of the report for appending ``alpha`` to ``window``, from MAW(window) - MAW(window + alpha) and the reverse difference."""
     deleted = canonical_words(deleted_words)
     added = canonical_words(added_words)
     if len(deleted) != 1:
@@ -298,20 +302,23 @@ def _append_report(window: str, alpha: str, deleted_words: Iterable[str], added_
         buckets[classify_added(word, window)].append(word)
     by_type = {t: tuple(ws) for t, ws in buckets.items()}
 
-    return DeltaReport(
-        direction="append",
-        before=window,
-        after=window + alpha,
-        d=len(window),
-        sigma_window=len(set(window)),
-        sigma_ext=len(set(window) | {alpha}),
-        deleted=deleted,
-        added=added,
-        added_by_type=by_type,
-        injection_witness=type3_injection(by_type[MawType.TYPE3], window),
-        repeat_len=_repeat_len(window),
-        ext_len=len(deleted[0]) - 2,
-    )
+    return {
+        "before": window,
+        "after": window + alpha,
+        "d": len(window),
+        "sigma_window": len(set(window)),
+        "sigma_ext": len(set(window) | {alpha}),
+        "deleted": deleted,
+        "added": added,
+        "added_by_type": by_type,
+        "injection_witness": type3_injection(by_type[MawType.TYPE3], window),
+        "repeat_len": _repeat_len(window),
+        "ext_len": len(deleted[0]) - 2,
+    }
+
+
+def _append_report(window: str, alpha: str, deleted_words: Iterable[str], added_words: Iterable[str]) -> DeltaReport:
+    return DeltaReport(direction="append", **_append_fields(window, alpha, deleted_words, added_words))
 
 
 def _reversed_words(words: Iterable[str]) -> tuple[str, ...]:
@@ -326,17 +333,16 @@ def _delete_report(window: str, deleted_words: Iterable[str], added_words: Itera
     d, sigma counts and window statistics carry over unchanged.
     """
     beta, kept = window[0], window[1:]
-    mirror = _append_report(kept[::-1], beta, (w[::-1] for w in added_words), (w[::-1] for w in deleted_words))
-    return replace(
-        mirror,
-        direction="delete",
+    mirror = _append_fields(kept[::-1], beta, (w[::-1] for w in added_words), (w[::-1] for w in deleted_words))
+    mirror.update(
         before=window,
         after=kept,
-        deleted=_reversed_words(mirror.added),
-        added=_reversed_words(mirror.deleted),
-        added_by_type={t: _reversed_words(ws) for t, ws in mirror.added_by_type.items()},
-        injection_witness={w[::-1]: len(kept) - 1 - e for w, e in mirror.injection_witness.items()},
+        deleted=_reversed_words(mirror["added"]),
+        added=_reversed_words(mirror["deleted"]),
+        added_by_type={t: _reversed_words(ws) for t, ws in mirror["added_by_type"].items()},
+        injection_witness={w[::-1]: len(kept) - 1 - e for w, e in mirror["injection_witness"].items()},
     )
+    return DeltaReport(direction="delete", **mirror)
 
 
 def append_delta(

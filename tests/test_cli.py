@@ -297,6 +297,20 @@ class TestGenFamilyCommand:
         code, _, err = run_cli(capsys, "gen-family", "--family", "Nope", "--d", "3")
         assert code == 2
 
+    def test_check_d_without_check_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gen-family", "--family", "AlternatingBinary", "--n", "20", "--check-d", "6",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--check" in err
+
+    def test_check_d_on_a_fixed_window_family_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gen-family", "--family", "BinaryExtremal", "--d", "3", "--check", "--check-d", "100",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "BinaryExtremal" in err
+
     def test_json_payload(self, capsys):
         _, out, _ = run_cli(
             capsys, "gen-family", "--family", "TotalSigmaFamily", "--n", "36", "--d", "9",

@@ -1,9 +1,11 @@
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mawlab.automaton import enumerate_maws_fast
 from mawlab.core import Alphabet, InputError
 from mawlab.oracle import MawSet, enumerate_maws_naive, is_maw
 
@@ -52,19 +54,36 @@ class TestEnumerate:
         assert words == ("d", "ab", "ac", "bb", "bc", "ca", "cc", "aaaaa")
         assert list(words) == sorted(words, key=lambda w: (len(w), w))
 
-    def test_matches_definition_exhaustively_binary(self):
-        for n in range(0, 9):
-            for tup in product("01", repeat=n):
+    @staticmethod
+    def assert_matches_definition(alphabet, max_n):
+        for n in range(0, max_n + 1):
+            for tup in product(alphabet.symbols, repeat=n):
                 s = "".join(tup)
-                expected = {w for w in all_words("01", n + 1) if is_maw(w, s, BIN)}
-                assert enumerate_maws_naive(s, BIN).as_set() == expected, s
+                expected = {w for w in all_words(alphabet.symbols, n + 1) if is_maw(w, s, alphabet)}
+                assert enumerate_maws_naive(s, alphabet).as_set() == expected, s
+
+    def test_matches_definition_exhaustively_binary(self):
+        self.assert_matches_definition(BIN, 8)
 
     def test_matches_definition_exhaustively_ternary(self):
-        for n in range(0, 6):
-            for tup in product("abc", repeat=n):
-                s = "".join(tup)
-                expected = {w for w in all_words("abc", n + 1) if is_maw(w, s, ABC)}
-                assert enumerate_maws_naive(s, ABC).as_set() == expected, s
+        self.assert_matches_definition(ABC, 5)
+
+    def test_matches_definition_exhaustively_quaternary(self):
+        self.assert_matches_definition(ABCD, 4)
+
+    def test_long_texts_match_the_automaton(self):
+        # Out of reach of an oracle that walks every occurrence of every
+        # substring: n = 5000 holds about 12.5 million occurrences.  Unary and
+        # period-3 texts repeat factors of every length up to about n, the
+        # factor-pair loop's worst case.
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        rng = random.Random(5000)
+        for sigma in (2, 4, 26):
+            alphabet = Alphabet.of(letters[:sigma])
+            s = "".join(rng.choice(alphabet.symbols) for _ in range(5000))
+            assert enumerate_maws_naive(s, alphabet).words == enumerate_maws_fast(s, alphabet).words, sigma
+        for s in ("a" * 400, "abc" * 133 + "a"):
+            assert enumerate_maws_naive(s, ABC).words == enumerate_maws_fast(s, ABC).words, s[:6]
 
     def test_every_emitted_word_is_a_maw(self):
         for s in ("abaab", "cbaaaac", "0110100", "zyzzyva".replace("z", "a").replace("y", "b")):
