@@ -1,102 +1,26 @@
-"""mawlab: minimal absent words, sliding-window change analysis, and bound verification."""
+"""mawlab: minimal absent words, sliding-window change analysis, and bound verification.
 
-from .core import (
-    Alphabet,
-    ConsistencyError,
-    InputError,
-    TheoremViolationError,
-    canonical_words,
-)
-from .oracle import MawSet, enumerate_maws_naive, is_maw
-from .automaton import SuffixAutomaton, enumerate_maws_fast
-from .slide import (
-    DeltaReport,
-    MawEngine,
-    MawType,
-    SlideSummary,
-    append_delta,
-    classify_added,
-    delete_delta,
-    slide_steps,
-    slide_totals,
-    type3_injection,
-)
-from .bounds import (
-    BoundId,
-    BoundVerdict,
-    bound_binary_append,
-    bound_general_append,
-    bound_occurring_append,
-    bound_prior_append,
-    bound_total,
-    check_step,
-    check_totals,
-)
-from .families import (
-    FAMILY_IDS,
-    FamilyInstance,
-    gen_alternating,
-    gen_binary_extremal,
-    gen_binary_onezeros,
-    gen_total_distinct,
-    gen_total_sigma,
-    gen_unary_v,
-    gen_Z,
-)
-from .verify import (
-    PRESETS,
-    CampaignConfig,
-    CampaignReport,
-    run_exhaustive,
-    run_random,
-    tightness_scan,
-)
+The package root holds the names the README imports and the records they
+return; everything else is imported from its submodule (``mawlab.slide``,
+``mawlab.bounds``, ``mawlab.verify``, ...).
+"""
+
+from .core import Alphabet, ConsistencyError, InputError, TheoremViolationError
+from .oracle import MawSet
+from .automaton import enumerate_maws_fast
+from .slide import DeltaReport, SlideSummary, append_delta, slide_totals
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
-    "BoundId",
-    "BoundVerdict",
-    "CampaignConfig",
-    "CampaignReport",
     "ConsistencyError",
     "DeltaReport",
-    "FAMILY_IDS",
-    "FamilyInstance",
     "InputError",
-    "MawEngine",
     "MawSet",
-    "MawType",
-    "PRESETS",
     "SlideSummary",
-    "SuffixAutomaton",
     "TheoremViolationError",
     "append_delta",
-    "bound_binary_append",
-    "bound_general_append",
-    "bound_occurring_append",
-    "bound_prior_append",
-    "bound_total",
-    "canonical_words",
-    "check_step",
-    "check_totals",
-    "classify_added",
-    "delete_delta",
     "enumerate_maws_fast",
-    "enumerate_maws_naive",
-    "gen_Z",
-    "gen_alternating",
-    "gen_binary_extremal",
-    "gen_binary_onezeros",
-    "gen_total_distinct",
-    "gen_total_sigma",
-    "gen_unary_v",
-    "is_maw",
-    "run_exhaustive",
-    "run_random",
-    "slide_steps",
     "slide_totals",
-    "tightness_scan",
-    "type3_injection",
 ]

@@ -10,8 +10,8 @@ Identifiers are a stable API and appear verbatim in JSON/CSV reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .slide import DeltaReport, SlideSummary
 
@@ -34,31 +34,26 @@ class BoundId(str, Enum):
     TOTAL_SIGMA_N = "TotalSigmaN"
     TOTAL_D_N = "TotalDN"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return self.value
 
 
-@dataclass(frozen=True)
-class BoundVerdict:
+class BoundVerdict(NamedTuple):
     bound_id: BoundId
     bound_value: int
     observed: int
-    satisfied: bool
-    slack: int
 
-    @classmethod
-    def make(cls, bound_id: BoundId, bound_value: int, observed: int) -> "BoundVerdict":
-        return cls(
-            bound_id=bound_id,
-            bound_value=bound_value,
-            observed=observed,
-            satisfied=observed <= bound_value,
-            slack=bound_value - observed,
-        )
+    @property
+    def slack(self) -> int:
+        return self.bound_value - self.observed
+
+    @property
+    def satisfied(self) -> bool:
+        return self.observed <= self.bound_value
 
     def to_payload(self) -> dict:
         return {
-            "bound_id": self.bound_id.value,
+            "bound_id": self.bound_id,
             "bound": self.bound_value,
             "observed": self.observed,
             "satisfied": self.satisfied,
@@ -114,34 +109,32 @@ def check_step(report: DeltaReport, sigma_global: int) -> tuple[BoundVerdict, ..
     prior = bound_prior_append(report.repeat_len, report.ext_len, sigma_global)
     if report.direction == "delete":
         return (
-            BoundVerdict.make(BoundId.GENERAL_DELETE, general, delta),
-            BoundVerdict.make(BoundId.PRIOR_CROCHEMORE_DELETE, prior, delta),
+            BoundVerdict(BoundId.GENERAL_DELETE, general, delta),
+            BoundVerdict(BoundId.PRIOR_CROCHEMORE_DELETE, prior, delta),
         )
 
     m1, m2, m3 = report.type_counts
     verdicts = [
-        BoundVerdict.make(BoundId.GENERAL_APPEND, general, delta),
-        BoundVerdict.make(BoundId.PRIOR_CROCHEMORE_APPEND, prior, delta),
+        BoundVerdict(BoundId.GENERAL_APPEND, general, delta),
+        BoundVerdict(BoundId.PRIOR_CROCHEMORE_APPEND, prior, delta),
     ]
     if report.alpha_occurs:
-        verdicts.append(
-            BoundVerdict.make(BoundId.OCCURRING_APPEND, bound_occurring_append(d, report.sigma_ext), delta)
-        )
-    verdicts.append(BoundVerdict.make(BoundId.TYPE1_CAP, 1, m1))
-    verdicts.append(BoundVerdict.make(BoundId.TYPE2_CAP, report.sigma_window, m2))
-    verdicts.append(BoundVerdict.make(BoundId.TYPE3_CAP, d - 1, m3))
+        verdicts.append(BoundVerdict(BoundId.OCCURRING_APPEND, bound_occurring_append(d, report.sigma_ext), delta))
+    verdicts.append(BoundVerdict(BoundId.TYPE1_CAP, 1, m1))
+    verdicts.append(BoundVerdict(BoundId.TYPE2_CAP, report.sigma_window, m2))
+    verdicts.append(BoundVerdict(BoundId.TYPE3_CAP, d - 1, m3))
     if report.alpha_occurs and d >= 3:
-        verdicts.append(BoundVerdict.make(BoundId.M12_COLLIDE, report.sigma_window, m1 + m2))
+        verdicts.append(BoundVerdict(BoundId.M12_COLLIDE, report.sigma_window, m1 + m2))
     if report.sigma_ext <= 2:
         if d >= 3:
-            verdicts.append(BoundVerdict.make(BoundId.BINARY_APPEND, bound_binary_append(d), delta))
+            verdicts.append(BoundVerdict(BoundId.BINARY_APPEND, bound_binary_append(d), delta))
         else:
-            verdicts.append(BoundVerdict.make(BoundId.BINARY_SMALL_D, 3, delta))
+            verdicts.append(BoundVerdict(BoundId.BINARY_SMALL_D, 3, delta))
     if report.sigma_ext == 2 and d >= 3:
-        verdicts.append(BoundVerdict.make(BoundId.TYPE3_CAP_BINARY, d - 2, m3))
-        verdicts.append(BoundVerdict.make(BoundId.M123_BINARY_CAP, d - 1, m1 + m2 + m3))
+        verdicts.append(BoundVerdict(BoundId.TYPE3_CAP_BINARY, d - 2, m3))
+        verdicts.append(BoundVerdict(BoundId.M123_BINARY_CAP, d - 1, m1 + m2 + m3))
         if report.alpha_occurs:
-            verdicts.append(BoundVerdict.make(BoundId.M12_BINARY_COLLIDE, 2, m1 + m2))
+            verdicts.append(BoundVerdict(BoundId.M12_BINARY_COLLIDE, 2, m1 + m2))
     return tuple(verdicts)
 
 
@@ -149,6 +142,6 @@ def check_totals(summary: SlideSummary, sigma_global: int) -> tuple[BoundVerdict
     """Totals-level verdicts for a full slide."""
     n, d = summary.text_length, summary.d
     return (
-        BoundVerdict.make(BoundId.TOTAL_D_N, bound_total(n, d, summary.sigma_max_window), summary.total),
-        BoundVerdict.make(BoundId.TOTAL_SIGMA_N, 2 * (n - d) * (sigma_global + d + 1), summary.total),
+        BoundVerdict(BoundId.TOTAL_D_N, bound_total(n, d, summary.sigma_max_window), summary.total),
+        BoundVerdict(BoundId.TOTAL_SIGMA_N, 2 * (n - d) * (sigma_global + d + 1), summary.total),
     )

@@ -28,7 +28,7 @@ EXIT_INPUT = 2
 EXIT_FALSIFIED = 3
 
 # Every bound column of a slide row, unchecked until a verdict fills it.
-_UNCHECKED_BOUNDS = dict.fromkeys(b.value for b in BoundId)
+_UNCHECKED_BOUNDS = dict.fromkeys(BoundId)
 _SLIDE_COLUMNS = [
     "step_index",
     "d",
@@ -50,6 +50,8 @@ def _read_text(args: argparse.Namespace) -> str:
                 text = fh.read().rstrip("\n")
         except OSError as exc:
             raise InputError(f"cannot read {args.file}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{args.file} is not UTF-8 text: {exc}") from None
         if "\n" in text or "\r" in text:
             raise InputError(f"{args.file} has a line break inside its text; give one line")
         return text
@@ -119,8 +121,7 @@ def _cmd_slide(args: argparse.Namespace) -> int:
     all_ok = True
     steps = slide_steps(text, args.window, alphabet, _resolve_engine(args.engine))
     for i, (fused, ap, de) in enumerate(steps):
-        ap = ap.with_verdicts(check_step(ap, sigma))
-        de = de.with_verdicts(check_step(de, sigma))
+        ap_verdicts, de_verdicts = check_step(ap, sigma), check_step(de, sigma)
         sigma_max = max(sigma_max, ap.sigma_window, de.sigma_window)
         m1, m2, m3 = ap.type_counts
         row: dict = {
@@ -135,17 +136,22 @@ def _cmd_slide(args: argparse.Namespace) -> int:
             "delta": fused,
             **_UNCHECKED_BOUNDS,
         }
-        for v in list(ap.verdicts) + list(de.verdicts):
-            row[v.bound_id.value] = v.slack
+        for v in ap_verdicts + de_verdicts:
+            row[v.bound_id] = v.slack
             if not v.satisfied:
                 all_ok = False
         rows.append(row)
         if args.per_step:
             steps_payload.append(
-                {"step_index": i, "fused_delta": fused, "append": ap.to_payload(), "delete": de.to_payload()}
+                {
+                    "step_index": i,
+                    "fused_delta": fused,
+                    "append": ap.to_payload(ap_verdicts),
+                    "delete": de.to_payload(de_verdicts),
+                }
             )
 
-    summary = SlideSummary.of(len(text), args.window, (r["delta"] for r in rows), sigma_max)
+    summary = SlideSummary(len(text), args.window, tuple(r["delta"] for r in rows), sigma_max)
     totals_verdicts = check_totals(summary, sigma)
     payload = summary.to_payload()
     payload["totals_verdicts"] = [v.to_payload() for v in totals_verdicts]
@@ -173,6 +179,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 overrides = json.load(fh)
         except OSError as exc:
             raise InputError(f"cannot read {args.config}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{args.config} is not UTF-8 text: {exc}") from None
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed config: {exc}") from None
         if not isinstance(overrides, dict):

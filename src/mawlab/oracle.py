@@ -35,15 +35,6 @@ class MawSet:
     alphabet: Alphabet
     words: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        prev: str | None = None
-        for w in self.words:
-            if not w:
-                raise InputError("MAW words must be non-empty")
-            if prev is not None and (len(prev), prev) >= (len(w), w):
-                raise InputError("MAW words must be in strict canonical order")
-            prev = w
-
     def __len__(self) -> int:
         return len(self.words)
 

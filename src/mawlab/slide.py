@@ -20,10 +20,12 @@ reported word is reversed back.  Type labels on a delete report are
 therefore mirrored, with prefix and suffix roles swapped.
 
 Where the differences come from.  ``append_delta`` and ``delete_delta`` take
-literal set differences of two full MAW sets on every engine, and so does a
-slide on the oracle or on any ``MawEngine`` (every campaign).  A slide on the
-engine name ``automaton`` builds no automaton and no full MAW set: it derives
-each step's differences from ``find`` tests bounded to the extended window.
+literal set differences of two full MAW sets on every engine.  A slide
+(``slide_steps`` and ``slide_totals`` alike) reads every step off one source
+of differences: literal ones on the oracle or on any ``MawEngine`` (every
+campaign), derived ones on the engine name ``automaton``, which builds no
+automaton and no full MAW set but runs ``find`` tests bounded to the
+extended window.
 For W, alpha and E = W + alpha, let L be the length of the longest suffix of
 E that occurs in W (a suffix of an occurring word occurs, so a binary search
 finds L).  The words of E absent from W are exactly the suffixes of E longer
@@ -75,7 +77,7 @@ prefix-side statistics of the shrunken window with the deleted symbol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -123,7 +125,6 @@ class MawEngine:
 
     def __init__(self, alphabet: Alphabet, engine: str = "automaton") -> None:
         self.alphabet = alphabet
-        self.engine = engine
         self._enumerate = _enumerator(engine, alphabet)
         self._cache: dict[str, tuple[str, ...]] = {}
 
@@ -166,7 +167,6 @@ class DeltaReport:
     injection_witness: Mapping[str, int]
     repeat_len: int
     ext_len: int
-    verdicts: tuple = field(default=())
 
     @property
     def delta_size(self) -> int:
@@ -182,13 +182,8 @@ class DeltaReport:
         """True when the step's new/removed character already occurs in the short window."""
         return self.sigma_window == self.sigma_ext
 
-    def with_verdicts(self, verdicts) -> "DeltaReport":
-        """A copy carrying ``verdicts``; copies the field dict, as the report has no invariant to re-check."""
-        copy = object.__new__(DeltaReport)
-        copy.__dict__.update(self.__dict__, verdicts=tuple(verdicts))
-        return copy
-
-    def to_payload(self) -> dict:
+    def to_payload(self, verdicts: Iterable = ()) -> dict:
+        """The report as JSON-ready data, with the caller's ``verdicts`` on it (see ``bounds.check_step``)."""
         return {
             "direction": self.direction,
             "before": self.before,
@@ -201,7 +196,7 @@ class DeltaReport:
             "added_by_type": {t.label: list(ws) for t, ws in self.added_by_type.items()},
             "injection_witness": dict(sorted(self.injection_witness.items())),
             "delta": self.delta_size,
-            "verdicts": [v.to_payload() for v in self.verdicts],
+            "verdicts": [v.to_payload() for v in verdicts],
         }
 
 
@@ -388,17 +383,11 @@ class SlideSummary:
     text_length: int
     d: int
     per_step: tuple[int, ...]
-    total: int
     sigma_max_window: int
 
-    def __post_init__(self) -> None:
-        if self.total != sum(self.per_step):
-            raise ConsistencyError("total must equal the sum of per-step sizes")
-
-    @classmethod
-    def of(cls, text_length: int, d: int, per_step: Iterable[int], sigma_max_window: int) -> "SlideSummary":
-        steps = tuple(per_step)
-        return cls(text_length, d, steps, sum(steps), sigma_max_window)
+    @property
+    def total(self) -> int:
+        return sum(self.per_step)
 
     def to_payload(self) -> dict:
         return {
@@ -491,24 +480,13 @@ def slide_totals(
 ) -> SlideSummary:
     """Sizes of MAW(T[i..i+d)) symmetric-difference MAW(T[i+1..i+d+1)) for all i.
 
-    The engine name ``automaton`` reads them off the derived step
-    differences; any other engine enumerates each window once.
+    Read off each step's four differences (see :func:`_step_differences`).
     """
     _check_slide(text, d, alphabet)
     n = len(text)
     sigma_max = max(len(set(text[i : i + d])) for i in range(n - d + 1))
-    if engine == "automaton":
-        sizes = [_fused_size(*diffs) for diffs in _step_differences(text, d, alphabet, engine)]
-        return SlideSummary.of(n, d, sizes, sigma_max)
-
-    words = _enumerator(engine, alphabet)
-    prev = set(words(text[:d]))
-    sizes = []
-    for i in range(1, n - d + 1):
-        cur = set(words(text[i : i + d]))
-        sizes.append(len(prev ^ cur))
-        prev = cur
-    return SlideSummary.of(n, d, sizes, sigma_max)
+    sizes = tuple(_fused_size(*diffs) for diffs in _step_differences(text, d, alphabet, engine))
+    return SlideSummary(n, d, sizes, sigma_max)
 
 
 def slide_steps(

@@ -30,7 +30,7 @@ from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from .core import Alphabet, ConsistencyError, InputError, TheoremViolationError
-from .bounds import BoundId, BoundVerdict, check_step
+from .bounds import BoundId, check_step
 from .families import default_symbols, gen_binary_extremal, gen_unary_v, gen_Z, measure
 from .slide import DeltaReport, MawEngine, MawType, append_delta, delete_delta
 
@@ -293,14 +293,14 @@ def _run_step(
         return None
     result.steps += 1
     for v in check_step(report, len(symbols)):
-        if v.bound_id.value == config.weaken:
-            v = BoundVerdict.make(v.bound_id, v.bound_value - 1, v.observed)
-        result.add_bound(v.bound_id.value, 1, v.slack, witness)
+        if v.bound_id == config.weaken:
+            v = v._replace(bound_value=v.bound_value - 1)
+        result.add_bound(v.bound_id, 1, v.slack, witness)
         if not v.satisfied:
             result.falsifications.append(
                 {
                     "kind": "bound",
-                    "bound_id": v.bound_id.value,
+                    "bound_id": str(v.bound_id),
                     "witness": witness,
                     "bound": v.bound_value,
                     "observed": v.observed,
@@ -415,7 +415,7 @@ def _execute(tasks: list[tuple[str, str, bool]], config: CampaignConfig) -> Camp
         for (d, se), val in sorted(merged.tightness.items())
     )
     bounds = {
-        bid: {"count": row[0], "min_slack": row[1], "witness": row[2]}
+        str(bid): {"count": row[0], "min_slack": row[1], "witness": row[2]}
         for bid, row in sorted(merged.bounds.items())
     }
     return CampaignReport(

@@ -22,6 +22,19 @@ def accepts(sam, word):
     return True
 
 
+def assert_canonical(words):
+    """Non-empty words in strictly increasing (length, word) order, as ``MawSet`` promises."""
+    assert all(words) and all((len(a), a) < (len(b), b) for a, b in zip(words, words[1:])), words
+
+
+def both_enumerations(s, alphabet):
+    """The automaton's and the oracle's MAW words of ``s``, each checked to be strictly canonical."""
+    fast, slow = enumerate_maws_fast(s, alphabet).words, enumerate_maws_naive(s, alphabet).words
+    assert_canonical(fast)
+    assert_canonical(slow)
+    return fast, slow
+
+
 def transition_count(sam):
     return sum(len(st.trans) for st in sam.states)
 
@@ -113,13 +126,15 @@ class TestFastEnumerator:
         for n in range(0, 13):
             for tup in product("01", repeat=n):
                 s = "".join(tup)
-                assert enumerate_maws_fast(s, BIN).words == enumerate_maws_naive(s, BIN).words, s
+                fast, slow = both_enumerations(s, BIN)
+                assert fast == slow, s
 
     def test_oracle_equivalence_exhaustive_ternary(self):
         for n in range(0, 9):
             for tup in product("abc", repeat=n):
                 s = "".join(tup)
-                assert enumerate_maws_fast(s, ABC).words == enumerate_maws_naive(s, ABC).words, s
+                fast, slow = both_enumerations(s, ABC)
+                assert fast == slow, s
 
     def test_oracle_equivalence_random(self):
         rng = random.Random(42)
@@ -129,7 +144,8 @@ class TestFastEnumerator:
             for _ in range(120):
                 n = rng.randint(1, 120)
                 s = "".join(rng.choices(symbols, k=n))
-                assert enumerate_maws_fast(s, alphabet).words == enumerate_maws_naive(s, alphabet).words
+                fast, slow = both_enumerations(s, alphabet)
+                assert fast == slow, s
 
     @settings(max_examples=200)
     @given(st.text(alphabet="ab", max_size=60))

@@ -60,9 +60,9 @@ class TestEvaluators:
         assert bound_total(16, 3, 4) == 2 * 13 * 7
 
     def test_verdict_arithmetic(self):
-        v = BoundVerdict.make(BoundId.GENERAL_APPEND, 11, 11)
+        v = BoundVerdict(BoundId.GENERAL_APPEND, 11, 11)
         assert v.satisfied and v.slack == 0
-        v = BoundVerdict.make(BoundId.GENERAL_APPEND, 10, 11)
+        v = BoundVerdict(BoundId.GENERAL_APPEND, 10, 11)
         assert not v.satisfied and v.slack == -1
 
 

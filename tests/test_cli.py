@@ -8,7 +8,6 @@ import pytest
 
 from mawlab.automaton import SuffixAutomaton
 from mawlab.cli import main
-from mawlab.oracle import MawSet
 
 
 def run_cli(capsys, *argv):
@@ -67,20 +66,6 @@ class TestMawCommand:
             path.write_bytes(content)
             code, out, err = run_cli(capsys, "maw", "--file", str(path))
             assert code == 2 and out == "" and err.startswith("error:") and "line break" in err
-
-    @pytest.mark.parametrize("engine", ["oracle", "automaton"])
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_checks_one_maw_set(self, capsys, monkeypatch, engine, fmt):
-        checked = []
-        original = MawSet.__post_init__
-
-        def counting_post_init(self):
-            checked.append(self.words)
-            original(self)
-
-        monkeypatch.setattr(MawSet, "__post_init__", counting_post_init)
-        code, _, _ = run_cli(capsys, "maw", "cbaaaa", "--alphabet", "abcd", "--engine", engine, "--format", fmt)
-        assert code == 0 and len(checked) == 1
 
     def test_engines_agree(self, capsys):
         _, out1, _ = run_cli(capsys, "maw", "cbaaaa", "--alphabet", "abcd", "--engine", "oracle")
@@ -334,3 +319,15 @@ def test_console_script_wiring():
 def test_version_flag(capsys):
     code = main(["--version"])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("maw", "--file"), ("slide", "--window", "2", "--file"), ("verify", "--config")],
+    ids=["maw", "slide", "verify"],
+)
+def test_non_utf8_file_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfeab")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2 and out == "" and err.startswith("error:") and "not UTF-8" in err

@@ -135,3 +135,11 @@ class TestWindowStats:
 
 def test_canonical_words_order():
     assert canonical_words(["ba", "b", "ab", "aa", "a"]) == ("a", "b", "aa", "ab", "ba")
+
+
+@settings(max_examples=200)
+@given(st.lists(st.text(alphabet="abc", max_size=6), unique=True))
+def test_canonical_words_is_a_strictly_ordered_permutation(words):
+    got = canonical_words(words)
+    assert sorted(got) == sorted(words)
+    assert all((len(a), a) < (len(b), b) for a, b in zip(got, got[1:]))

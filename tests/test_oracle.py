@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mawlab.automaton import enumerate_maws_fast
 from mawlab.core import Alphabet, InputError
-from mawlab.oracle import MawSet, enumerate_maws_naive, is_maw
+from mawlab.oracle import enumerate_maws_naive, is_maw
 
 ABC = Alphabet.of("abc")
 ABCD = Alphabet.of("abcd")
@@ -128,14 +128,6 @@ class TestProperties:
 
 
 class TestMawSet:
-    def test_validates_canonical_order(self):
-        with pytest.raises(InputError):
-            MawSet(2, BIN, ("00", "1"))
-        with pytest.raises(InputError):
-            MawSet(2, BIN, ("1", "1"))
-        with pytest.raises(InputError):
-            MawSet(2, BIN, ("",))
-
     def test_payload(self):
         ms = enumerate_maws_naive("01", BIN)
         payload = ms.to_payload()

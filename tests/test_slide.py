@@ -29,7 +29,7 @@ ABCD = Alphabet.of("abcd")
 def walk_payloads(text, d, alphabet, engine):
     """Every step of a slide as (fused size, append payload, delete payload), verdicts included."""
     return [
-        (size, *(r.with_verdicts(check_step(r, alphabet.size)).to_payload() for r in (ap, de)))
+        (size, *(r.to_payload(check_step(r, alphabet.size)) for r in (ap, de)))
         for size, ap, de in slide_steps(text, d, alphabet, engine)
     ]
 
@@ -230,7 +230,7 @@ class TestSlideSteps:
             engine = MawEngine(alphabet)
 
             def payload(rep):
-                return rep.with_verdicts(check_step(rep, sigma)).to_payload()
+                return rep.to_payload(check_step(rep, sigma))
 
             expected: dict[str, tuple[dict, dict]] = {}
             for n in range(2, max_n + 1):
