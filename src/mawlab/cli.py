@@ -5,6 +5,13 @@ Exit codes are a stable contract: 0 success, 2 usage or input error,
 mismatch).  JSON and CSV outputs carry the same tabular data: the JSON
 payload's ``table`` key mirrors the CSV rows exactly.  Output is
 deterministic; timestamps are only added with --timestamps.
+
+JSON output is ``json.dumps(envelope, indent=2, sort_keys=True)`` byte for
+byte.  CPython uses its C encoder only when ``indent`` is None, so the writer
+here hands each container that holds only scalars to one call of that C
+encoder, with the newline and indent of the container's depth as the item
+separator, and frames in Python only the containers that hold containers.
+Without the ``_json`` accelerator it falls back to ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import io
 import json
 import sys
 from datetime import datetime, timezone
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import __version__
 from .core import Alphabet, InputError
@@ -43,6 +51,91 @@ _SLIDE_COLUMNS = [
 ]
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _reject(obj: object) -> object:
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+class _Levels(dict):
+    """Per nesting depth: the C encoder for a flat container at that depth, whose item
+    separator carries the newline and indent, and the texts that open the first item,
+    separate the others and close the container."""
+
+    def __missing__(self, depth: int) -> tuple:
+        indent = "  " * depth
+        inner = indent + "  "
+        encode = c_make_encoder(None, _reject, encode_basestring_ascii, None, ": ", ",\n" + inner, True, False, True)
+        self[depth] = level = (encode, "\n" + inner, ",\n" + inner, "\n" + indent)
+        return level
+
+
+_LEVELS = _Levels()
+
+
+def _key_text(key: object, encode) -> str:
+    """json's text for a dict key: a str as is, an int, float, bool or None as that value's JSON."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return "".join(encode(key, 0))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write(obj: dict | list | tuple, depth: int, out: list[str]) -> None:
+    """Append the ``json.dumps(indent=2, sort_keys=True)`` text of container ``obj`` at ``depth``."""
+    encode, first, sep, close = _LEVELS[depth]
+    is_dict = isinstance(obj, dict)
+    for value in obj.values() if is_dict else obj:
+        if isinstance(value, _CONTAINERS):
+            break
+    else:
+        text = "".join(encode(obj, 0))
+        if len(text) > 2:
+            out += (text[0], first, text[1:-1], close, text[-1])
+        else:
+            out.append(text)
+        return
+    depth += 1
+    if is_dict:
+        out.append("{")
+        for key, value in sorted(obj.items()):
+            out += (first, encode_basestring_ascii(_key_text(key, encode)), ": ")
+            first = sep
+            if isinstance(value, _CONTAINERS):
+                _write(value, depth, out)
+            else:
+                out += encode(value, 0)
+        out += (close, "}")
+    else:
+        out.append("[")
+        for value in obj:
+            out.append(first)
+            first = sep
+            if isinstance(value, _CONTAINERS):
+                _write(value, depth, out)
+            else:
+                out += encode(value, 0)
+        out += (close, "]")
+
+
+def _dumps(obj: dict | list | tuple) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, with flat containers encoded in C."""
+    if c_make_encoder is None:
+        return json.dumps(obj, indent=2, sort_keys=True)
+    out: list[str] = []
+    _write(obj, 0, out)
+    return "".join(out)
+
+
+def _one_line(value: str | None, source: str) -> str | None:
+    """``value`` as given; a line break in any text or symbol set from the user is an input error."""
+    if value is not None and ("\n" in value or "\r" in value):
+        raise InputError(f"{source} has a line break; give one line")
+    return value
+
+
 def _read_text(args: argparse.Namespace) -> str:
     if args.file is not None:
         try:
@@ -52,16 +145,14 @@ def _read_text(args: argparse.Namespace) -> str:
             raise InputError(f"cannot read {args.file}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise InputError(f"{args.file} is not UTF-8 text: {exc}") from None
-        if "\n" in text or "\r" in text:
-            raise InputError(f"{args.file} has a line break inside its text; give one line")
-        return text
+        return _one_line(text, args.file)
     if args.text is None:
         raise InputError("provide TEXT or --file")
-    return args.text
+    return _one_line(args.text, "TEXT")
 
 
 def _resolve_alphabet(args: argparse.Namespace, text: str) -> Alphabet:
-    if args.alphabet is not None:
+    if _one_line(args.alphabet, "--alphabet") is not None:
         alphabet = Alphabet.of(args.alphabet)
         alphabet.require_text(text)
         return alphabet
@@ -83,7 +174,7 @@ def _emit(args: argparse.Namespace, payload: dict, alphabet: str | None, text_li
         }
         if args.timestamps:
             envelope["timestamps"] = {"emitted": datetime.now(timezone.utc).isoformat()}
-        print(json.dumps(envelope, indent=2, sort_keys=True))
+        print(_dumps(envelope))
     elif args.format == "csv":
         table = payload["table"]
         columns = payload["table_columns"]
@@ -115,7 +206,11 @@ def _cmd_slide(args: argparse.Namespace) -> int:
     alphabet = _resolve_alphabet(args, text)
     sigma = alphabet.size
 
+    # Text output prints only the fused sizes, so only json and csv keep rows.
+    keep_rows = args.format != "text"
+    keep_steps = args.per_step and args.format == "json"
     sigma_max = 0
+    deltas: list[int] = []
     rows: list[dict] = []
     steps_payload: list[dict] = []
     all_ok = True
@@ -123,25 +218,27 @@ def _cmd_slide(args: argparse.Namespace) -> int:
     for i, (fused, ap, de) in enumerate(steps):
         ap_verdicts, de_verdicts = check_step(ap, sigma), check_step(de, sigma)
         sigma_max = max(sigma_max, ap.sigma_window, de.sigma_window)
-        m1, m2, m3 = ap.type_counts
-        row: dict = {
-            "step_index": i,
-            "d": args.window,
-            "sigma_window": ap.sigma_window,
-            "sigma_ext": ap.sigma_ext,
-            "deleted": len(ap.deleted),
-            "m1": m1,
-            "m2": m2,
-            "m3": m3,
-            "delta": fused,
-            **_UNCHECKED_BOUNDS,
-        }
-        for v in ap_verdicts + de_verdicts:
-            row[v.bound_id] = v.slack
-            if not v.satisfied:
-                all_ok = False
-        rows.append(row)
-        if args.per_step:
+        deltas.append(fused)
+        verdicts = ap_verdicts + de_verdicts
+        all_ok = all_ok and all(v.satisfied for v in verdicts)
+        if keep_rows:
+            m1, m2, m3 = ap.type_counts
+            row: dict = {
+                "step_index": i,
+                "d": args.window,
+                "sigma_window": ap.sigma_window,
+                "sigma_ext": ap.sigma_ext,
+                "deleted": len(ap.deleted),
+                "m1": m1,
+                "m2": m2,
+                "m3": m3,
+                "delta": fused,
+                **_UNCHECKED_BOUNDS,
+            }
+            for v in verdicts:
+                row[v.bound_id] = v.slack
+            rows.append(row)
+        if keep_steps:
             steps_payload.append(
                 {
                     "step_index": i,
@@ -151,18 +248,18 @@ def _cmd_slide(args: argparse.Namespace) -> int:
                 }
             )
 
-    summary = SlideSummary(len(text), args.window, tuple(r["delta"] for r in rows), sigma_max)
+    summary = SlideSummary(len(text), args.window, tuple(deltas), sigma_max)
     totals_verdicts = check_totals(summary, sigma)
     payload = summary.to_payload()
     payload["totals_verdicts"] = [v.to_payload() for v in totals_verdicts]
     payload["table_columns"] = _SLIDE_COLUMNS
     payload["table"] = rows
-    if args.per_step:
+    if keep_steps:
         payload["steps"] = steps_payload
 
     lines = [f"n={summary.text_length} d={summary.d} total={summary.total}"]
     if args.per_step:
-        lines += [f"step {r['step_index']}: delta={r['delta']}" for r in rows]
+        lines += [f"step {i}: delta={delta}" for i, delta in enumerate(deltas)]
     _emit(args, payload, alphabet.as_str(), lines)
     return EXIT_OK if all_ok and all(v.satisfied for v in totals_verdicts) else EXIT_FALSIFIED
 
@@ -210,7 +307,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_gen_family(args: argparse.Namespace) -> int:
     if args.check_d is not None and not args.check:
         raise InputError("--check-d needs --check")
-    symbols = tuple(args.alphabet) if args.alphabet else None
+    symbols = tuple(args.alphabet) if _one_line(args.alphabet, "--alphabet") else None
     instance = generate(
         args.family,
         symbols=symbols,

@@ -83,6 +83,8 @@ class Alphabet:
             raise InputError(f"symbol {sym!r} is not in alphabet {self.as_str()!r}")
 
     def require_text(self, text: str) -> None:
+        if self._members.issuperset(text):  # type: ignore[attr-defined]
+            return
         for ch in text:
             if ch not in self:
                 raise InputError(f"symbol {ch!r} of {text!r} is not in alphabet {self.as_str()!r}")

@@ -1,13 +1,19 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mawlab import cli
 from mawlab.automaton import SuffixAutomaton
+from mawlab.bounds import BoundId
 from mawlab.cli import main
+from mawlab.slide import MawType
 
 
 def run_cli(capsys, *argv):
@@ -331,3 +337,92 @@ def test_non_utf8_file_exits_2(capsys, tmp_path, argv):
     path.write_bytes(b"\xff\xfeab")
     code, out, err = run_cli(capsys, *argv, str(path))
     assert code == 2 and out == "" and err.startswith("error:") and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
+@pytest.mark.parametrize(
+    "argv, source",
+    [
+        (("maw", "ab{}c"), "TEXT"),
+        (("maw", "abc", "--alphabet", "abc{}"), "--alphabet"),
+        (("slide", "ab{0}ab{0}ab", "--window", "2"), "TEXT"),
+        (("slide", "abab", "--window", "2", "--alphabet", "a{}b"), "--alphabet"),
+        (("gen-family", "--family", "ZGeneral", "--d", "3", "--sigma-w", "2", "--sigma", "3",
+          "--alphabet", "ab{}", "--check"), "--alphabet"),
+    ],
+    ids=["maw-text", "maw-alphabet", "slide-text", "slide-alphabet", "gen-family-alphabet"],
+)
+def test_line_break_in_text_or_alphabet_exits_2(capsys, argv, source, brk):
+    code, out, err = run_cli(capsys, *(a.format(brk) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {source} has a line break")
+
+
+# Every container kind, scalars json treats specially, and strings that look
+# like the writer's own separators.
+_JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\[]{},: \n\r\t\x00\x1fé\u2028')), max_size=6)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324]),
+    _JSON_TEXT,
+    st.sampled_from(list(BoundId)),
+    st.sampled_from(list(MawType)),
+)
+# One key kind per dict: json.dumps sorts the keys, so they must compare.
+_JSON_KEY_KINDS = st.sampled_from([
+    st.one_of(_JSON_TEXT, st.sampled_from(list(BoundId))),
+    st.one_of(st.integers(), st.floats(), st.booleans(), st.sampled_from(list(MawType))),
+    st.none(),
+])
+
+
+def _json_trees(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        _JSON_KEY_KINDS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(_json_trees(st.recursive(_JSON_SCALARS, _json_trees, max_leaves=10)))
+@example({"a": [{1: {2.5: [True]}, 2: []}], "b": {False: (), 3: {}}, "c": {None: [{}]}})
+@example([[], {}, [[{}]], {"x": [[], ()]}])
+def test_writer_equals_json_dumps(tree):
+    assert cli._dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def test_writer_falls_back_without_the_c_encoder(monkeypatch):
+    tree = {"b": [1, {"c": None}], "a": "é"}
+    monkeypatch.setattr(cli, "c_make_encoder", None)
+    assert cli._dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+# In code-point order: gen-family --check compares its expected words in symbol order.
+_ODD_SYMBOLS = '",\\]{é'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("slide", '{],"é\\,]{é"\\', "--alphabet", _ODD_SYMBOLS, "--window", "4", "--per-step"),
+        ("maw", '{],"é\\,]{é"', "--alphabet", _ODD_SYMBOLS),
+        ("verify", "--config", "CONFIG"),
+        ("gen-family", "--family", "ZGeneral", "--d", "5", "--sigma-w", "4", "--sigma", "6",
+         "--alphabet", _ODD_SYMBOLS, "--check"),
+    ],
+    ids=["slide", "maw", "verify", "gen-family"],
+)
+def test_json_output_is_json_dumps_byte_for_byte(capsys, tmp_path, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "mode": "random", "sigmas": [6], "symbols": _ODD_SYMBOLS, "min_len": 2, "max_len": 8,
+        "samples": 6, "workers": 1,
+    }))
+    code, out, _ = run_cli(capsys, *(str(cfg) if a == "CONFIG" else a for a in argv), "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert "\\u00e9" in out

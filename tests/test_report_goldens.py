@@ -37,6 +37,18 @@ def test_slide_long_window_per_step_payload_golden():
     assert payload == expected
 
 
+def test_slide_text_lines_match_the_golden_payload():
+    """Text output keeps no table rows; its lines still carry every fused step size."""
+    expected = json.loads((DATA / "slide_acgt80_w40_payload.json").read_text())
+    code, out = capture(["slide", ACGT80, "--alphabet", "ACGT", "--window", "40", "--per-step"])
+    assert code == 0
+    assert out.splitlines() == [f"n=80 d=40 total={expected['total']}"] + [
+        f"step {i}: delta={delta}" for i, delta in enumerate(expected["per_step"])
+    ]
+    _, out = capture(["slide", ACGT80, "--alphabet", "ACGT", "--window", "40"])
+    assert out == f"n=80 d=40 total={expected['total']}\n"
+
+
 def mutated_periodic_text() -> str:
     """The period-3 text (aab)* of length 200 with four substituted symbols."""
     text = list(("aab" * 67)[:200])
