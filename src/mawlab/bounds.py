@@ -88,8 +88,8 @@ def bound_total(n: int, d: int, sigma: int) -> int:
     """Certified cap on the total sliding change S(T, d).
 
     A slide step is one append plus one leftmost delete, each changing at most
-    min(d, sigma) + d + 1 words, hence the factor 2.  The cap witnesses the
-    O(min(d, sigma) * n) growth claim as a finite inequality.
+    min(d, sigma) + d + 1 words, hence the factor 2.  The cap grows like
+    O(d * n), so it does not witness the O(min(d, sigma) * n) growth claim.
     """
     return 2 * (n - d) * (min(d, sigma) + d + 1)
 

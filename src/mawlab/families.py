@@ -12,7 +12,7 @@ import string
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .core import Alphabet, InputError
+from .core import Alphabet, InputError, canonical_words
 from .slide import DeltaReport, MawEngine, MawType, append_delta, slide_totals
 
 _DISPLAY = string.ascii_lowercase + string.ascii_uppercase + string.digits
@@ -331,13 +331,16 @@ def measure(
         result["added"] = list(report.added)
         if instance.expected_delta is not None and report.delta_size != instance.expected_delta:
             fail("delta", instance.expected_delta, report.delta_size)
-        if instance.expected_deleted is not None and report.deleted != instance.expected_deleted:
-            fail("deleted", list(instance.expected_deleted), list(report.deleted))
+        # Expectations are built in the alphabet's symbol order; reports are canonical.
+        if instance.expected_deleted is not None:
+            expected = canonical_words(instance.expected_deleted)
+            if report.deleted != expected:
+                fail("deleted", list(expected), list(report.deleted))
         if instance.expected_types is not None:
             for t, expected_words in instance.expected_types.items():
-                got = report.added_by_type[t]
-                if got != tuple(expected_words):
-                    fail(t.label, list(expected_words), list(got))
+                expected, got = canonical_words(expected_words), report.added_by_type[t]
+                if got != expected:
+                    fail(t.label, list(expected), list(got))
         return result
 
     if instance.family_id == "AlternatingBinary":

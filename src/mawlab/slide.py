@@ -88,7 +88,7 @@ from .core import (
     TheoremViolationError,
     canonical_words,
 )
-from .automaton import enumerate_maws_fast
+from .automaton import SuffixAutomaton, enumerate_maws_fast
 from .oracle import enumerate_maws_naive
 
 
@@ -121,11 +121,17 @@ def _enumerator(engine: str | MawEngine, alphabet: Alphabet) -> Callable[[str], 
 
 
 class MawEngine:
-    """Cached MAW enumeration for one alphabet with a selectable backend."""
+    """Memoised MAW words for one alphabet with a selectable backend.
+
+    On the automaton backend a subject's words are kept as the automaton scan
+    gives them, in no particular order; on the oracle they are canonical.
+    Subjects are not checked against the alphabet: callers pass validated text.
+    """
 
     def __init__(self, alphabet: Alphabet, engine: str = "automaton") -> None:
         self.alphabet = alphabet
-        self._enumerate = _enumerator(engine, alphabet)
+        self._automaton = engine == "automaton"
+        self._enumerate = self._scan if self._automaton else _enumerator(engine, alphabet)
         self._cache: dict[str, tuple[str, ...]] = {}
 
     def words(self, subject: str) -> tuple[str, ...]:
@@ -133,6 +139,28 @@ class MawEngine:
         if got is None:
             got = self._cache[subject] = self._enumerate(subject)
         return got
+
+    def words_with_prefix(self, subject: str) -> None:
+        """Memoise the words of ``subject[:-1]`` and ``subject`` (non-empty).
+
+        On the automaton backend both come from one automaton, built for the
+        prefix and extended by the last symbol, unless either is memoised.
+        """
+        cache, prefix = self._cache, subject[:-1]
+        if not self._automaton or prefix in cache or subject in cache:
+            self.words(prefix)
+            self.words(subject)
+            return
+        automaton = SuffixAutomaton(prefix)
+        cache[prefix] = tuple(automaton.maw_words(self.alphabet))
+        automaton.extend(subject[-1])
+        cache[subject] = tuple(automaton.maw_words(self.alphabet))
+
+    def _scan(self, subject: str) -> tuple[str, ...]:
+        return tuple(SuffixAutomaton(subject).maw_words(self.alphabet))
+
+    def clear(self) -> None:
+        self._cache.clear()
 
 
 @dataclass(frozen=True)

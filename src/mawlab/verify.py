@@ -14,10 +14,15 @@ over forked processes; results are merged in task order, which keeps the
 report schedule-independent.  Only a failure to start the pool falls back to
 a serial run; an error raised by a task propagates.
 
-MAW sets are memoised per worker.  An exhaustive campaign keeps the memo for
-the whole run, so each distinct string is enumerated once per backend; a
-random campaign starts a fresh memo for each task, because random subjects
-share almost no strings and a campaign-wide memo would grow with ``samples``.
+MAW sets are memoised per worker, each as an unsorted tuple of words; only
+the engine comparison sorts, once per compared string, so a repeated word
+still shows.  An exhaustive campaign keeps the memo for the whole run, so each
+distinct string is enumerated once per backend.  A random campaign clears the
+memo before each task, because random subjects share almost no strings and a
+campaign-wide memo would grow with ``samples``.  A random task needs five
+sets, S[:-1] and S for the append, S[1:] for the delete, and rev(S[1:]) and
+rev(S) for the reversal check; on the automaton it builds three automata,
+since the automaton of S[:-1] extended by S's last symbol is that of S.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
-from .core import Alphabet, ConsistencyError, InputError, TheoremViolationError
+from .core import Alphabet, ConsistencyError, InputError, TheoremViolationError, canonical_words
 from .bounds import BoundId, check_step
 from .families import default_symbols, gen_binary_extremal, gen_unary_v, gen_Z, measure
 from .slide import DeltaReport, MawEngine, MawType, append_delta, delete_delta
@@ -268,7 +273,8 @@ def _structure_violations(report: DeltaReport) -> list[str]:
 
 
 def _compare_engines(subject: str, symbols: str, result: _TaskResult) -> None:
-    fast = _engine_for(symbols, "automaton").words(subject)
+    # Sorting the automaton's words, not comparing sets, also catches a repeated word.
+    fast = canonical_words(_engine_for(symbols, "automaton").words(subject))
     slow = _engine_for(symbols, "oracle").words(subject)
     if fast != slow:
         result.mismatches.append(
@@ -348,7 +354,15 @@ def _process_task(task: tuple[str, str, bool]) -> _TaskResult:
     symbols, subject, all_alphas = task
     config = _WORKER["config"]
     if not all_alphas:
-        _WORKER["engines"] = {}
+        # S[:-1] and S for the append, rev(S[1:]) and rev(S) for the delete's
+        # reversal check: two automata, each extended by one symbol.
+        for eng in _WORKER["engines"].values():
+            eng.clear()
+        if config.checks == "full" and len(subject) >= 2:
+            eng = _engine_for(symbols, config.backend)
+            eng.words_with_prefix(subject)
+            if config.deletes:
+                eng.words_with_prefix(subject[::-1])
     result = _TaskResult(subjects=1)
 
     if config.engine == "both":

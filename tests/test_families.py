@@ -1,7 +1,9 @@
 import pytest
 
 from mawlab.core import Alphabet, InputError
+from mawlab.cli import main
 from mawlab.families import (
+    default_symbols,
     gen_alternating,
     gen_binary_extremal,
     gen_binary_onezeros,
@@ -199,3 +201,28 @@ class TestGenerate:
     def test_alphabet_sizes(self):
         assert gen_binary_extremal(4).alphabet == Alphabet.of("01")
         assert gen_Z(3, 2, 4).alphabet.size == 4
+
+
+# Every family that takes custom symbols, with parameters whose checks hold.
+SYMBOL_FAMILIES = [
+    ("ZGeneral", {"d": 6, "sigma_w": 4, "sigma": 6}),
+    ("ZGeneral", {"d": 9, "sigma_w": 9, "sigma": 10}),
+    ("TotalSigmaFamily", {"n": 36, "d": 9, "sigma": 4}),
+    ("TotalDistinctFamily", {"n": 20, "d": 3, "sigma": 5}),
+]
+
+
+@pytest.mark.parametrize("family, params", SYMBOL_FAMILIES)
+class TestReversedAlphabet:
+    """Expectations are built in the alphabet's symbol order, reports in canonical order."""
+
+    def test_measure_is_ok(self, family, params):
+        symbols = default_symbols(params["sigma"])[::-1]
+        got = measure(generate(family, symbols=symbols, **params))
+        assert got["ok"], got
+
+    def test_cli_check_exits_0(self, family, params, capsys):
+        flags = [f"--{name.replace('_', '-')}={value}" for name, value in params.items()]
+        alphabet = "".join(default_symbols(params["sigma"])[::-1])
+        code = main(["gen-family", "--family", family, *flags, "--alphabet", alphabet, "--check", "--format", "json"])
+        assert code == 0, capsys.readouterr().out

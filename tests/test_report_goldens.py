@@ -5,6 +5,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from mawlab.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -82,3 +84,27 @@ def test_csv_and_json_carry_identical_table_data():
     for line, row in zip(lines[1:], payload["table"]):
         cells = line.split(",")
         assert cells == ["" if row[c] is None else str(row[c]) for c in header]
+
+
+# Seeded random campaigns, pinned as the whole ``verify --format json`` stdout.
+_RANDOM = {"mode": "random", "sigmas": [2, 4, 26], "min_len": 1, "max_len": 40, "samples": 200, "seed": 13, "workers": 1}
+CAMPAIGNS = {
+    "verify_random_both": (dict(_RANDOM, engine="both"), 0),
+    "verify_random_oracle": (dict(_RANDOM, engine="oracle"), 0),
+    "verify_random_automaton_appends": (dict(_RANDOM, engine="automaton", deletes=False), 0),
+    "verify_random_weakened": (
+        dict(_RANDOM, sigmas=[2], max_len=12, samples=80, engine="both", weaken="BinaryAppend"),
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+def test_campaign_stdout_golden(name, tmp_path, monkeypatch):
+    """The config is read from the working directory, so the echoed command is the same everywhere."""
+    config, exit_code = CAMPAIGNS[name]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)
+    code, out = capture(["verify", "--config", "config.json", "--format", "json"])
+    assert code == exit_code
+    assert out == (DATA / f"{name}.json").read_text()

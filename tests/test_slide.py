@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mawlab import slide
+from mawlab.automaton import SuffixAutomaton
 from mawlab.bounds import check_step
-from mawlab.core import Alphabet, ConsistencyError, InputError, TheoremViolationError
+from mawlab.core import Alphabet, ConsistencyError, InputError, TheoremViolationError, canonical_words
 from mawlab.oracle import enumerate_maws_naive
 from mawlab.slide import (
     MawEngine,
@@ -294,6 +295,65 @@ class TestSlideSteps:
             list(slide_steps("aaaa", 4, Alphabet.of("a")))
         with pytest.raises(InputError):
             list(slide_steps("abz", 1, Alphabet.of("ab")))
+
+
+def assert_memo_is_exact(engine, subject, alphabet):
+    """The memo holds, for ``subject[:-1]`` and ``subject``, exactly the oracle's words, each once."""
+    for s in (subject[:-1], subject):
+        memo = engine._cache[s]
+        assert len(set(memo)) == len(memo), s
+        assert canonical_words(memo) == enumerate_maws_naive(s, alphabet).words, s
+
+
+def count_builds(monkeypatch):
+    """Record the subject of every automaton the engines build."""
+    built = []
+
+    class Counting(SuffixAutomaton):
+        def __init__(self, subject):
+            built.append(subject)
+            super().__init__(subject)
+
+    monkeypatch.setattr(slide, "SuffixAutomaton", Counting)
+    return built
+
+
+class TestWordsWithPrefix:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda sigma: st.tuples(st.just("abcd"[:sigma]), st.text(alphabet="abcd"[:sigma], min_size=1, max_size=60))
+        )
+    )
+    def test_memo_matches_the_oracle(self, case):
+        symbols, subject = case
+        alphabet = Alphabet.of(symbols)
+        for backend in ("automaton", "oracle"):
+            engine = MawEngine(alphabet, backend)
+            engine.words_with_prefix(subject)
+            assert set(engine._cache) == {subject[:-1], subject}
+            assert_memo_is_exact(engine, subject, alphabet)
+
+    def test_memo_matches_the_oracle_exhaustive_binary(self, monkeypatch):
+        built = count_builds(monkeypatch)
+        subjects = ["".join(tup) for n in range(1, 11) for tup in product("01", repeat=n)]
+        for subject in subjects:
+            engine = MawEngine(BIN)
+            engine.words_with_prefix(subject)
+            assert_memo_is_exact(engine, subject, BIN)
+        assert built == [s[:-1] for s in subjects]  # one automaton each, extended by the last symbol
+
+    def test_a_memoised_string_is_not_enumerated_again(self, monkeypatch):
+        built = count_builds(monkeypatch)
+        engine = MawEngine(BIN)
+        engine.words("0110")
+        engine.words_with_prefix("01101")
+        engine.words_with_prefix("1101")
+        assert built == ["0110", "01101", "110"]
+        engine.clear()
+        engine.words_with_prefix("01101")
+        assert built[3:] == ["0110"]
+        assert_memo_is_exact(engine, "01101", BIN)
 
 
 def periodic_with_break(period: str, d: int, breaker: str) -> str:

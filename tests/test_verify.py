@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import pytest
 
 from mawlab import slide, verify
+from mawlab.automaton import SuffixAutomaton
+from mawlab.cli import main
 from mawlab.core import InputError
 from mawlab.verify import (
     CampaignConfig,
@@ -183,6 +185,31 @@ def corrupt_oracle(monkeypatch, target=None):
 
     monkeypatch.setitem(slide._ENUMERATORS, "oracle", fake)
     return chosen
+
+
+RANDOM_BOTH = {"mode": "random", "sigmas": [2, 4, 26], "min_len": 2, "max_len": 30, "samples": 12, "seed": 5, "workers": 1}
+
+
+@pytest.mark.parametrize("repeat", [False, True], ids=["drop-a-word", "repeat-a-word"])
+def test_corrupt_automaton_words_are_engine_mismatches(monkeypatch, tmp_path, capsys, repeat):
+    """A repeated word has the right set, so only a comparison of sorted lists catches it."""
+    real = SuffixAutomaton.maw_words
+
+    def corrupt(self, alphabet):
+        words = real(self, alphabet)
+        return words + words[:1] if repeat else words[1:]
+
+    monkeypatch.setattr(SuffixAutomaton, "maw_words", corrupt)
+    report = run_random(CampaignConfig.from_mapping(RANDOM_BOTH))
+    assert [m["subject"] for m in report.engine_mismatches]
+    for m in report.engine_mismatches:
+        assert m["automaton"] != m["oracle"]
+        assert (set(m["automaton"]) == set(m["oracle"])) == repeat
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(RANDOM_BOTH))
+    assert main(["verify", "--config", str(config)]) == 3
+    assert "MISMATCH" in capsys.readouterr().out
 
 
 class TestRunner:
