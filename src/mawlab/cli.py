@@ -2,9 +2,11 @@
 
 Exit codes are a stable contract: 0 success, 2 usage or input error,
 3 verification failure (falsification, engine mismatch, or a --check
-mismatch).  JSON and CSV outputs carry the same tabular data: the JSON
-payload's ``table`` key mirrors the CSV rows exactly.  Output is
-deterministic; timestamps are only added with --timestamps.
+mismatch; a structural theorem violation met outside a campaign prints one
+``FALSIFIED <detail>`` line on stderr).  JSON and CSV outputs carry the
+same tabular data: the JSON payload's ``table`` key mirrors the CSV rows
+exactly.  Output is deterministic; timestamps are only added with
+--timestamps.
 
 JSON output is ``json.dumps(envelope, indent=2, sort_keys=True)`` byte for
 byte.  CPython uses its C encoder only when ``indent`` is None, so the writer
@@ -25,7 +27,7 @@ from datetime import datetime, timezone
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import __version__
-from .core import Alphabet, InputError
+from .core import Alphabet, InputError, TheoremViolationError
 from .bounds import BoundId, check_step, check_totals
 from .families import generate, measure
 from .slide import _ENUMERATORS, SlideSummary, slide_steps
@@ -35,8 +37,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_FALSIFIED = 3
 
-# Every bound column of a slide row, unchecked until a verdict fills it.
-_UNCHECKED_BOUNDS = dict.fromkeys(BoundId)
+# A slide row: the step's counts, then one slack column per bound, empty (None
+# in json) when the step does not meet the bound's hypotheses.
 _SLIDE_COLUMNS = [
     "step_index",
     "d",
@@ -47,8 +49,9 @@ _SLIDE_COLUMNS = [
     "m2",
     "m3",
     "delta",
-    *_UNCHECKED_BOUNDS,
+    *BoundId,
 ]
+_BOUND_CELL = {bound: _SLIDE_COLUMNS.index(bound) for bound in BoundId}
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -205,39 +208,36 @@ def _cmd_slide(args: argparse.Namespace) -> int:
     text = _read_text(args)
     alphabet = _resolve_alphabet(args, text)
     sigma = alphabet.size
+    steps = slide_steps(text, args.window, alphabet, _resolve_engine(args.engine))
 
-    # Text output prints only the fused sizes, so only json and csv keep rows.
-    keep_rows = args.format != "text"
-    keep_steps = args.per_step and args.format == "json"
+    # CSV rows are written as they are made; only json keeps rows, and text
+    # output keeps only the fused sizes.
+    writer = csv.writer(sys.stdout, lineterminator="\n") if args.format == "csv" else None
+    if writer is not None:
+        writer.writerow(_SLIDE_COLUMNS)
+    keep_rows = args.format == "json"
+    unchecked = [None if keep_rows else ""] * len(BoundId)
+    keep_steps = args.per_step and keep_rows
     sigma_max = 0
     deltas: list[int] = []
     rows: list[dict] = []
     steps_payload: list[dict] = []
     all_ok = True
-    steps = slide_steps(text, args.window, alphabet, _resolve_engine(args.engine))
     for i, (fused, ap, de) in enumerate(steps):
         ap_verdicts, de_verdicts = check_step(ap, sigma), check_step(de, sigma)
         sigma_max = max(sigma_max, ap.sigma_window, de.sigma_window)
         deltas.append(fused)
         verdicts = ap_verdicts + de_verdicts
         all_ok = all_ok and all(v.satisfied for v in verdicts)
-        if keep_rows:
-            m1, m2, m3 = ap.type_counts
-            row: dict = {
-                "step_index": i,
-                "d": args.window,
-                "sigma_window": ap.sigma_window,
-                "sigma_ext": ap.sigma_ext,
-                "deleted": len(ap.deleted),
-                "m1": m1,
-                "m2": m2,
-                "m3": m3,
-                "delta": fused,
-                **_UNCHECKED_BOUNDS,
-            }
+        if writer is not None or keep_rows:
+            cells = [i, args.window, ap.sigma_window, ap.sigma_ext, len(ap.deleted), *ap.type_counts, fused]
+            cells += unchecked
             for v in verdicts:
-                row[v.bound_id] = v.slack
-            rows.append(row)
+                cells[_BOUND_CELL[v.bound_id]] = v.slack
+            if writer is not None:
+                writer.writerow(cells)
+            else:
+                rows.append(dict(zip(_SLIDE_COLUMNS, cells)))
         if keep_steps:
             steps_payload.append(
                 {
@@ -250,17 +250,17 @@ def _cmd_slide(args: argparse.Namespace) -> int:
 
     summary = SlideSummary(len(text), args.window, tuple(deltas), sigma_max)
     totals_verdicts = check_totals(summary, sigma)
-    payload = summary.to_payload()
-    payload["totals_verdicts"] = [v.to_payload() for v in totals_verdicts]
-    payload["table_columns"] = _SLIDE_COLUMNS
-    payload["table"] = rows
-    if keep_steps:
-        payload["steps"] = steps_payload
-
-    lines = [f"n={summary.text_length} d={summary.d} total={summary.total}"]
-    if args.per_step:
-        lines += [f"step {i}: delta={delta}" for i, delta in enumerate(deltas)]
-    _emit(args, payload, alphabet.as_str(), lines)
+    if writer is None:
+        payload = summary.to_payload()
+        payload["totals_verdicts"] = [v.to_payload() for v in totals_verdicts]
+        payload["table_columns"] = _SLIDE_COLUMNS
+        payload["table"] = rows
+        if keep_steps:
+            payload["steps"] = steps_payload
+        lines = [f"n={summary.text_length} d={summary.d} total={summary.total}"]
+        if args.per_step:
+            lines += [f"step {i}: delta={delta}" for i, delta in enumerate(deltas)]
+        _emit(args, payload, alphabet.as_str(), lines)
     return EXIT_OK if all_ok and all(v.satisfied for v in totals_verdicts) else EXIT_FALSIFIED
 
 
@@ -405,6 +405,9 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except TheoremViolationError as exc:
+        print(f"FALSIFIED {exc}", file=sys.stderr)
+        return EXIT_FALSIFIED
 
 
 def entry() -> None:  # console-script target

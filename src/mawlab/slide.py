@@ -27,9 +27,9 @@ campaign), derived ones on the engine name ``automaton``, which builds no
 automaton and no full MAW set but runs ``find`` tests bounded to the
 extended window.
 For W, alpha and E = W + alpha, let L be the length of the longest suffix of
-E that occurs in W (a suffix of an occurring word occurs, so a binary search
-finds L).  The words of E absent from W are exactly the suffixes of E longer
-than L, and each of them occurs in E only at its end.
+E that occurs in W (a suffix of an occurring word occurs, so the tests are
+monotone in the length).  The words of E absent from W are exactly the
+suffixes of E longer than L, and each of them occurs in E only at its end.
 
 * Deleted: a MAW of W that occurs in E is such a suffix whose proper suffix
   occurs in W, so it is E[-(L+1):]; its proper prefix is a suffix of W, so
@@ -48,15 +48,52 @@ than L, and each of them occurs in E only at its end.
   occur in W once more: it is a repeated suffix of W.  The loop over k stops
   at the first u that is not; no longer suffix is repeated either.
 * Delete side: the same derivation on the text reversed once per slide,
-  for the window reverse(E[1:]) and the appended symbol E[0]; the words are
-  reversed back.
+  for the window reverse(E[1:]) and the appended symbol E[0]; each word is
+  reversed back once.
 * Fused size: |MAW(W_i) ^ MAW(W_{i+1})| = |D_app ^ D_del| for the two
   steps' differences D, since (X ^ Y) ^ (Y ^ Z) = X ^ Z.
 
-A step costs O(log d + sigma_E * (r - L + 2)) C-level ``find`` calls, r being
-the length of W's longest repeated suffix.  On this path the one-deletion
-count holds by construction, so the reports still assert it but the evidence
-for it comes from the literal differences.
+Each step starts from what the step before it found.  Write E_i =
+T[i : i + d + 1] and W_i = E_i[:-1], so W_{i+1} = E_i[1:].
+
+* L_{i+1} <= L_i + 1.  E_{i+1}'s suffix of length m = L_{i+1} occurs in
+  W_{i+1} = T[i+1 : i+d+1]; drop the last symbol of that occurrence.  What
+  is left is E_{i+1}'s suffix of length m without its last symbol, that is
+  E_i's suffix of length m - 1, and it lies in T[i+1 : i+d], inside W_i.
+  So L_i >= m - 1.  L is found by testing that bound and, if it fails,
+  galloping down from it.
+* L'_{i+1} >= L'_i - 1, where L'_i, the mirror's L, is the length of the
+  longest prefix of E_i that occurs in E_i[1:].  That prefix occurs at some
+  p >= i + 1 in T; drop its first symbol.  What is left is E_i[1 : L'_i],
+  which is E_{i+1}'s prefix of length L'_i - 1, and it occurs at
+  p + 1 >= i + 2, inside E_{i+1}[1:].  L' is found by galloping up from
+  that bound.
+* A gallop probes lengths at distance 1, 2, 4, ... from its bound, then
+  binary-searches the last gap: a step whose L lies D away from its bound
+  costs at most 1 + 2 log2(D + 1) tests, and never more than
+  2 ceil(log2(d + 1)).  Over a slide of m = n - d steps the distances add up
+  to at most n - 1 in either direction (each bound moves L by at most one
+  from the step before, and L stays within 0..d), so by concavity a
+  direction makes at most m + 2m log2(1 + (n - 1) / m) tests for L: O(1) per
+  step when n >= 2d, O(log d) for a single step, where a fresh binary search
+  made about log2(d + 1) on every step.
+* r, the length of W's longest repeated suffix, is at least L - 1: E's
+  suffix of length L occurs in W, so W's suffix of length L - 1 occurs
+  before W's end.  The (B) loop tests every length from L up and stops at
+  the first that is not repeated, so r is read off where it stops.  The
+  mirror loop gives r for the reversed shrunken window.
+* sigma(W_i), sigma(E_i), sigma(W_{i+1}) and E_i's symbols come from one
+  count of symbols that slides with the window: O(1) per step.
+
+A step costs O(1) amortized ``find`` calls for L when n >= 2d (never more
+than 2 ceil(log2(d + 1))) plus at most sigma_E * (r - L + 2) + 1 for the added
+words, each scanning at most d + 1 symbols.  On this path the one-deletion count
+holds by construction, so the reports still assert it but the evidence for
+it comes from the literal differences.
+
+Both kinds of source feed the same report builders, which take r and the
+sigma counts from their caller (``append_delta`` and ``delete_delta``
+compute them from their window) and sort each changed-word list once.
 
 The two window statistics of the prior per-step bound (Crochemore et al.,
 Inf. Comput. 2020), for an append of alpha to W:
@@ -65,11 +102,11 @@ Inf. Comput. 2020), for an append of alpha to W:
   u the longest suffix of W that has an inner occurrence followed by alpha; an
   absent alpha deletes the word ``alpha`` itself, giving -1.
 * ``repeat_len`` = the length of the longest suffix of W that also occurs in
-  W[:-1].  A suffix of a repeated suffix is repeated too, so the length is
-  found by a binary search over ``in`` tests.  It equals max(0, len(w) - 2
-  over w in MAW(W) with W ending in w[:-1]): for each symbol c exactly one
-  MAW of W is (suffix of W) + c, and its length minus 2 is the longest suffix
-  followed by c inside W.
+  W[:-1].  A suffix of a repeated suffix is repeated too, so single steps
+  find the length by a binary search over ``in`` tests; a slide reads it off
+  its (B) loop.  It equals max(0, len(w) - 2 over w in MAW(W) with W ending
+  in w[:-1]): for each symbol c exactly one MAW of W is (suffix of W) + c,
+  and its length minus 2 is the longest suffix followed by c inside W.
 
 A delete report keeps the values of its mirror append, which are the
 prefix-side statistics of the shrunken window with the deleted symbol.
@@ -77,9 +114,10 @@ prefix-side statistics of the shrunken window with the deleted symbol.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .core import (
     Alphabet,
@@ -259,6 +297,8 @@ def type3_injection(m3: list[str] | tuple[str, ...], pre_window: str) -> dict[st
     [1, d-2] when the extended window uses exactly two distinct symbols.
     Violations raise :class:`TheoremViolationError` (campaign-level alarm).
     """
+    if not m3:
+        return {}
     d = len(pre_window)
     mapping: dict[str, int] = {}
     used: dict[int, str] = {}
@@ -287,13 +327,12 @@ def type3_injection(m3: list[str] | tuple[str, ...], pre_window: str) -> dict[st
         used[end] = word
         mapping[word] = end
 
-    if mapping:
-        sigma_ext = len(set(pre_window) | {alpha})
-        if sigma_ext == 2 and d >= 3 and min(mapping.values()) < 1:
-            raise TheoremViolationError(
-                f"Type-3 witness uses the first window position in the two-symbol regime: "
-                f"window {pre_window!r}, mapping {mapping}"
-            )
+    # Only a witness at position 0 can break the two-symbol range, so count symbols only then.
+    if d >= 3 and min(mapping.values()) < 1 and len(set(pre_window) | {alpha}) == 2:
+        raise TheoremViolationError(
+            f"Type-3 witness uses the first window position in the two-symbol regime: "
+            f"window {pre_window!r}, mapping {mapping}"
+        )
     return mapping
 
 
@@ -310,62 +349,91 @@ def _repeat_len(window: str) -> int:
     return lo
 
 
-def _append_fields(window: str, alpha: str, deleted_words: Iterable[str], added_words: Iterable[str]) -> dict:
-    """Fields of the report for appending ``alpha`` to ``window``, from MAW(window) - MAW(window + alpha) and the reverse difference."""
-    deleted = canonical_words(deleted_words)
-    added = canonical_words(added_words)
-    if len(deleted) != 1:
-        raise TheoremViolationError(
-            f"append must delete exactly one MAW, got {len(deleted)}: "
-            f"window {window!r} + {alpha!r}, deleted {deleted}"
-        )
-
-    buckets: dict[MawType, list[str]] = {t: [] for t in MawType}
-    for word in added:
-        buckets[classify_added(word, window)].append(word)
-    by_type = {t: tuple(ws) for t, ws in buckets.items()}
-
-    return {
-        "before": window,
-        "after": window + alpha,
-        "d": len(window),
-        "sigma_window": len(set(window)),
-        "sigma_ext": len(set(window) | {alpha}),
-        "deleted": deleted,
-        "added": added,
-        "added_by_type": by_type,
-        "injection_witness": type3_injection(by_type[MawType.TYPE3], window),
-        "repeat_len": _repeat_len(window),
-        "ext_len": len(deleted[0]) - 2,
-    }
-
-
-def _append_report(window: str, alpha: str, deleted_words: Iterable[str], added_words: Iterable[str]) -> DeltaReport:
-    return DeltaReport(direction="append", **_append_fields(window, alpha, deleted_words, added_words))
-
-
-def _reversed_words(words: Iterable[str]) -> tuple[str, ...]:
-    return canonical_words(w[::-1] for w in words)
-
-
-def _delete_report(window: str, deleted_words: Iterable[str], added_words: Iterable[str]) -> DeltaReport:
-    """Report for deleting ``window[0]``, from MAW(window) - MAW(window[1:]) and the reverse difference.
-
-    The mirror appends ``window[0]`` to the reversed shrunken window, so it
-    deletes the reversed added words and adds the reversed deleted ones; its
-    d, sigma counts and window statistics carry over unchanged.
-    """
-    beta, kept = window[0], window[1:]
-    mirror = _append_fields(kept[::-1], beta, (w[::-1] for w in added_words), (w[::-1] for w in deleted_words))
-    mirror.update(
-        before=window,
-        after=kept,
-        deleted=_reversed_words(mirror["added"]),
-        added=_reversed_words(mirror["deleted"]),
-        added_by_type={t: _reversed_words(ws) for t, ws in mirror["added_by_type"].items()},
-        injection_witness={w[::-1]: len(kept) - 1 - e for w, e in mirror["injection_witness"].items()},
+def _not_one_deleted(deleted: Iterable[str], window: str, alpha: str) -> TheoremViolationError:
+    """The error for an append of ``alpha`` to ``window`` that did not delete exactly one MAW."""
+    deleted = canonical_words(deleted)
+    return TheoremViolationError(
+        f"append must delete exactly one MAW, got {len(deleted)}: "
+        f"window {window!r} + {alpha!r}, deleted {deleted}"
     )
-    return DeltaReport(direction="delete", **mirror)
+
+
+def _by_type(words: tuple[str, ...], judged: Iterable[str], window: str) -> dict[MawType, tuple[str, ...]]:
+    """``words`` split by the type of the parallel ``judged`` words as added to ``window``; order is kept."""
+    lists: tuple[list[str], ...] = ([], [], [], [])  # indexed by MawType value
+    for word, judged_word in zip(words, judged):
+        lists[classify_added(judged_word, window)].append(word)
+    return {MawType.TYPE1: tuple(lists[1]), MawType.TYPE2: tuple(lists[2]), MawType.TYPE3: tuple(lists[3])}
+
+
+def _append_report(
+    window: str, alpha: str, deleted: Collection[str], added: Collection[str],
+    sigma_window: int, sigma_ext: int, repeat_len: int,
+) -> DeltaReport:
+    """Report for appending ``alpha`` to ``window``.
+
+    ``deleted`` is MAW(window) - MAW(window + alpha) and ``added`` the reverse
+    difference; the sigma counts of ``window`` and ``window + alpha`` and the
+    window's ``repeat_len`` come from the caller.
+    """
+    if len(deleted) != 1:
+        raise _not_one_deleted(deleted, window, alpha)
+    deleted = tuple(deleted)
+    added = canonical_words(added)
+    by_type = _by_type(added, added, window)
+    return DeltaReport(
+        direction="append",
+        before=window,
+        after=window + alpha,
+        d=len(window),
+        sigma_window=sigma_window,
+        sigma_ext=sigma_ext,
+        deleted=deleted,
+        added=added,
+        added_by_type=by_type,
+        injection_witness=type3_injection(by_type[MawType.TYPE3], window),
+        repeat_len=repeat_len,
+        ext_len=len(deleted[0]) - 2,
+    )
+
+
+def _delete_report(
+    window: str, gained: Collection[str], removed: Mapping[str, str],
+    sigma_window: int, sigma_ext: int, repeat_len: int,
+) -> DeltaReport:
+    """Report for deleting ``window[0]``.
+
+    ``gained`` is MAW(window[1:]) - MAW(window), and ``removed`` maps each word
+    of the reverse difference to its reversal.  The report is the mirror
+    append of ``window[0]`` to the reversed shrunken window, which deletes the
+    reversal of the gained word and adds the reversals of the removed ones:
+    its checks and types are judged on those mirror words, and its sigma
+    counts (of ``window[1:]`` and ``window``) and ``repeat_len`` (of the
+    reversed shrunken window) come from the caller.
+    """
+    mirror_window = window[:0:-1]
+    if len(gained) != 1:
+        raise _not_one_deleted((w[::-1] for w in gained), mirror_window, window[0])
+    gained = tuple(gained)
+    deleted = canonical_words(removed)
+    by_type = _by_type(deleted, [removed[w] for w in deleted], mirror_window)
+    m3 = by_type[MawType.TYPE3]
+    mapping = type3_injection([removed[w] for w in m3], mirror_window)
+    last = len(mirror_window) - 1
+    return DeltaReport(
+        direction="delete",
+        before=window,
+        after=window[1:],
+        d=len(mirror_window),
+        sigma_window=sigma_window,
+        sigma_ext=sigma_ext,
+        deleted=deleted,
+        added=gained,
+        added_by_type=by_type,
+        injection_witness={w: last - mapping[removed[w]] for w in m3},
+        repeat_len=repeat_len,
+        ext_len=len(gained[0]) - 2,
+    )
 
 
 def append_delta(
@@ -381,7 +449,11 @@ def append_delta(
     alphabet.require_symbol(alpha)
     words = _enumerator(engine, alphabet)
     before, after = set(words(window)), set(words(window + alpha))
-    return _append_report(window, alpha, before - after, after - before)
+    sigma_window = len(set(window))
+    return _append_report(
+        window, alpha, before - after, after - before,
+        sigma_window, sigma_window + (alpha not in window), _repeat_len(window),
+    )
 
 
 def delete_delta(
@@ -400,8 +472,12 @@ def delete_delta(
         raise InputError("delete step needs a window of length >= 2")
     alphabet.require_text(window)
     words = _enumerator(engine, alphabet)
-    before, after = set(words(window)), set(words(window[1:]))
-    return _delete_report(window, before - after, after - before)
+    kept = window[1:]
+    before, after = set(words(window)), set(words(kept))
+    return _delete_report(
+        window, after - before, {w: w[::-1] for w in before - after},
+        len(set(kept)), len(set(window)), _repeat_len(kept[::-1]),
+    )
 
 
 @dataclass(frozen=True)
@@ -431,73 +507,136 @@ class SlideSummary:
         }
 
 
-def _check_slide(text: str, d: int, alphabet: Alphabet) -> None:
+def _slide_source(
+    text: str, d: int, alphabet: Alphabet, engine: str | MawEngine
+) -> Callable[[str], tuple[str, ...]] | None:
+    """Check a slide's input; return the word function of a literal engine, None for the derived one."""
     n = len(text)
     if not 1 <= d < n:
         raise InputError(f"window length must satisfy 1 <= d < n, got d={d}, n={n}")
     alphabet.require_text(text)
+    return None if engine == "automaton" else _enumerator(engine, alphabet)
 
 
-def _append_change(text: str, start: int, d: int, symbols: Iterable[str]) -> tuple[str, set[str]]:
-    """The one word of MAW(W) - MAW(E), and MAW(E) - MAW(W).
+def _sliding_sigmas(text: str, d: int) -> Iterator[tuple[Counter[str], int, int, int]]:
+    """Per step i: the symbol counts of E_i = ``text[i : i + d + 1]``, sigma(W_i), sigma(E_i) and sigma(W_{i+1}).
 
-    W is ``text[start : start + d]``, E is W + ``text[start + d]`` and
-    ``symbols`` are the symbols of E.  Every test is a ``find`` bounded to E;
-    the module docstring derives the rules.
+    One count slides with the window, so a step costs O(1).  The next step
+    changes the counts in place.
+    """
+    counts = Counter(text[:d])
+    for i in range(len(text) - d):
+        alpha, beta = text[i + d], text[i]
+        counts[alpha] += 1
+        sigma_ext = len(counts)
+        yield counts, sigma_ext - (counts[alpha] == 1), sigma_ext, sigma_ext - (counts[beta] == 1)
+        if counts[beta] == 1:
+            del counts[beta]
+        else:
+            counts[beta] -= 1
+
+
+def _longest_suffix(text: str, start: int, d: int, lo: int, hi: int, upward: bool) -> int:
+    """L for W = ``text[start : start + d]`` and E = ``text[start : start + d + 1]``, known to lie in [lo, hi].
+
+    Galloping from ``lo`` when ``upward``, else from ``hi``, brackets L, and a
+    binary search finds it in the bracket; the module docstring bounds the tests.
     """
     end = start + d + 1
-    # L: the longest suffix of E that occurs in W.
-    lo, hi = 0, d
+    gap = 1
+    if upward:
+        while lo < hi:
+            m = min(lo + gap, hi)
+            if text.find(text[end - m : end], start, end - 1) < 0:
+                hi = m - 1
+                break
+            lo = m
+            gap += gap
+    else:
+        while lo < hi:
+            m = max(hi - gap + 1, lo + 1)
+            if text.find(text[end - m : end], start, end - 1) >= 0:
+                lo = m
+                break
+            hi = m - 1
+            gap += gap
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if text.find(text[end - mid : end], start, end - 1) >= 0:
             lo = mid
         else:
             hi = mid - 1
-    deleted = text[end - lo - 1 : end]
-    stem = text[end - lo : end]
+    return lo
+
+
+def _append_change(text: str, start: int, d: int, symbols: Iterable[str], L: int) -> tuple[str, set[str], int]:
+    """The one word of MAW(W) - MAW(E), MAW(E) - MAW(W), and r, the length of W's longest repeated suffix.
+
+    W is ``text[start : start + d]``, E is W + ``text[start + d]``, ``symbols``
+    are the symbols of E and ``L`` is the length of E's longest suffix that
+    occurs in W.  Every test is a ``find`` bounded to E; the module docstring
+    derives the rules.
+    """
+    end = start + d + 1
+    deleted = text[end - L - 1 : end]
+    stem = text[end - L : end]
     added = {deleted + b for b in symbols if text.find(stem + b, start, end) >= 0}
-    for k in range(lo + 1, d + 1):
+    for k in range(L + 1, d + 1):
         u = text[end - k : end - 1]  # W's suffix of length k - 1
         if k >= 2 and text.find(u, start, end - 2) < 0:
-            break  # u is not a repeated suffix of W, and no longer suffix is
+            return deleted, added, k - 2  # u is not a repeated suffix of W, and no longer suffix is
         tail = text[end - k : end]
         before = text[end - k - 1]
         for a in symbols:
             if a != before and text.find(a + u, start, end - 1) >= 0:
                 added.add(a + tail)
-    return deleted, added
+    return deleted, added, d - 1
 
 
-def _step_differences(
-    text: str, d: int, alphabet: Alphabet, engine: str | MawEngine
-) -> Iterator[tuple[set[str], set[str], set[str], set[str]]]:
-    """Per step i: MAW(W_i) - MAW(E_i), MAW(E_i) - MAW(W_i), MAW(E_i) - MAW(W_{i+1}), MAW(W_{i+1}) - MAW(E_i).
+def _step_differences(text: str, d: int, words: Callable[[str], tuple[str, ...]] | None) -> Iterator[tuple]:
+    """Per step i, with W_i = ``text[i : i + d]``, E_i = W_i + ``text[i + d]`` and W_{i+1} = E_i[1:]:
 
-    The engine name ``automaton`` derives them with :func:`_append_change`,
-    the delete side from the mirror append on the reversed text; any other
-    engine takes literal differences of the sets its ``words`` enumerate.
+    MAW(W_i) - MAW(E_i), MAW(E_i) - MAW(W_i), r(W_i), MAW(W_{i+1}) - MAW(E_i),
+    MAW(E_i) - MAW(W_{i+1}) as a dict from each word to its reversal,
+    r(reverse W_{i+1}), sigma(W_i), sigma(E_i) and sigma(W_{i+1}); r is the
+    length of a window's longest repeated suffix.
+
+    Without ``words`` they are derived with :func:`_append_change`, each
+    direction's L starting from the step before, and the delete side from the
+    mirror append on the reversed text; with it they are literal differences
+    of the sets it enumerates.
     """
-    n = len(text)
-    if engine == "automaton":
+    sigmas = _sliding_sigmas(text, d)
+    if words is None:
+        n = len(text)
         mirror = text[::-1]
-        for i in range(n - d):
-            symbols = set(text[i : i + d + 1])
-            gone, new = _append_change(text, i, d, symbols)
-            mirror_gone, mirror_new = _append_change(mirror, n - 1 - i - d, d, symbols)
-            yield {gone}, new, {w[::-1] for w in mirror_new}, {mirror_gone[::-1]}
+        L, mirror_L = d, 0
+        for i, (symbols, sigma_w, sigma_e, sigma_next) in enumerate(sigmas):
+            L = _longest_suffix(text, i, d, 0, min(L + 1, d), False)
+            gone, new, r = _append_change(text, i, d, symbols, L)
+            j = n - 1 - i - d
+            mirror_L = _longest_suffix(mirror, j, d, max(mirror_L - 1, 0), d, True)
+            mirror_gone, mirror_new, mirror_r = _append_change(mirror, j, d, symbols, mirror_L)
+            yield (
+                (gone,), new, r, (mirror_gone[::-1],), {w[::-1]: w for w in mirror_new}, mirror_r,
+                sigma_w, sigma_e, sigma_next,
+            )
         return
-    words = _enumerator(engine, alphabet)
     cur = set(words(text[:d]))
-    for i in range(n - d):
-        ext, nxt = set(words(text[i : i + d + 1])), set(words(text[i + 1 : i + d + 1]))
-        yield cur - ext, ext - cur, ext - nxt, nxt - ext
+    for i, (_, sigma_w, sigma_e, sigma_next) in enumerate(sigmas):
+        ext = text[i : i + d + 1]
+        ext_words, nxt = set(words(ext)), set(words(ext[1:]))
+        yield (
+            cur - ext_words, ext_words - cur, _repeat_len(ext[:-1]),
+            nxt - ext_words, {w: w[::-1] for w in ext_words - nxt}, _repeat_len(ext[:0:-1]),
+            sigma_w, sigma_e, sigma_next,
+        )
         cur = nxt
 
 
-def _fused_size(gone: set[str], new: set[str], removed: set[str], gained: set[str]) -> int:
+def _fused_size(gone: Collection[str], new: Collection[str], gained: Collection[str], removed: Collection[str]) -> int:
     """|MAW(W_i) ^ MAW(W_{i+1})| from one step's four differences: (X ^ Y) ^ (Y ^ Z) = X ^ Z."""
-    return len((gone | new) ^ (removed | gained))
+    return len({*gone, *new} ^ {*gained, *removed})
 
 
 def slide_totals(
@@ -508,13 +647,17 @@ def slide_totals(
 ) -> SlideSummary:
     """Sizes of MAW(T[i..i+d)) symmetric-difference MAW(T[i+1..i+d+1)) for all i.
 
-    Read off each step's four differences (see :func:`_step_differences`).
+    Read off each step's differences (see :func:`_step_differences`), with
+    the largest window sigma from the sliding symbol counts.
     """
-    _check_slide(text, d, alphabet)
-    n = len(text)
-    sigma_max = max(len(set(text[i : i + d])) for i in range(n - d + 1))
-    sizes = tuple(_fused_size(*diffs) for diffs in _step_differences(text, d, alphabet, engine))
-    return SlideSummary(n, d, sizes, sigma_max)
+    sizes = []
+    sigma_max = 0
+    for gone, new, _, gained, removed, _, sigma_w, _, sigma_next in _step_differences(
+        text, d, _slide_source(text, d, alphabet, engine)
+    ):
+        sizes.append(_fused_size(gone, new, gained, removed))
+        sigma_max = max(sigma_max, sigma_w, sigma_next)
+    return SlideSummary(len(text), d, tuple(sizes), sigma_max)
 
 
 def slide_steps(
@@ -528,12 +671,21 @@ def slide_steps(
     Step i appends to W_i = ``text[i : i + d]`` and deletes the leftmost
     character of E_i = ``text[i : i + d + 1]``.  The engine name
     ``automaton`` builds no automaton and no full MAW set; any other engine
-    enumerates each string once and holds only one step's sets.
+    enumerates each string once and holds only one step's sets.  The input is
+    checked when this is called, before the first step.
     """
-    _check_slide(text, d, alphabet)
-    for i, (gone, new, removed, gained) in enumerate(_step_differences(text, d, alphabet, engine)):
+    return _slide_reports(text, d, _slide_source(text, d, alphabet, engine))
+
+
+def _slide_reports(
+    text: str, d: int, words: Callable[[str], tuple[str, ...]] | None
+) -> Iterator[tuple[int, DeltaReport, DeltaReport]]:
+    for i, (gone, new, r, gained, removed, mirror_r, sigma_w, sigma_e, sigma_next) in enumerate(
+        _step_differences(text, d, words)
+    ):
+        ext = text[i : i + d + 1]
         yield (
-            _fused_size(gone, new, removed, gained),
-            _append_report(text[i : i + d], text[i + d], gone, new),
-            _delete_report(text[i : i + d + 1], removed, gained),
+            _fused_size(gone, new, gained, removed),
+            _append_report(ext[:-1], ext[-1], gone, new, sigma_w, sigma_e, r),
+            _delete_report(ext, gained, removed, sigma_next, sigma_e, mirror_r),
         )

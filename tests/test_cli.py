@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mawlab import cli
+from mawlab import cli, slide
 from mawlab.automaton import SuffixAutomaton
 from mawlab.bounds import BoundId
 from mawlab.cli import main
+from mawlab.core import ConsistencyError, TheoremViolationError
 from mawlab.slide import MawType
 
 
@@ -134,6 +135,29 @@ class TestSlideCommand:
             ["" if r.get(c) is None else str(r.get(c)) for c in header] for r in payload["table"]
         ]
         assert expected == rows
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("slide", "aaaa", "--window", "9"),
+            ("slide", "aaaa", "--window", "0"),
+            ("slide", "abz", "--alphabet", "ab", "--window", "1"),
+            ("slide", "abab", "--window", "4", "--engine", "oracle"),
+        ],
+        ids=["window-too-long", "window-zero", "symbol", "window-oracle"],
+    )
+    def test_csv_input_error_prints_nothing_on_stdout(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert (code, out) == (2, "") and err.startswith("error:")
+
+    def test_csv_rows_are_written_as_steps_are_made(self, capsys, monkeypatch):
+        argv = ("slide", "abaababaabba", "--window", "4", "--format", "csv")
+        _, full, _ = run_cli(capsys, *argv)
+        # The third report is step 1's append: by then step 0's row is out.
+        plant_violation(monkeypatch, TheoremViolationError, after=2)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and err.startswith("FALSIFIED ")
+        assert out == "".join(full.splitlines(keepends=True)[:2])
 
     def test_default_slide_builds_no_automaton(self, capsys, monkeypatch):
         builds = []
@@ -310,6 +334,42 @@ class TestGenFamilyCommand:
         payload = parse_json(out)["payload"]
         assert payload["params"]["k"] == 4
         assert payload["step_index"] == 3
+
+
+def plant_violation(monkeypatch, error, after=0):
+    """Make every ``type3_injection`` call after the first ``after`` raise ``error`` naming its window."""
+    calls = []
+    real = slide.type3_injection
+
+    def planted(m3, window):
+        calls.append(window)
+        if len(calls) > after:
+            raise error(f"planted violation in window {window!r}")
+        return real(m3, window)
+
+    monkeypatch.setattr(slide, "type3_injection", planted)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("slide", "abaababaab", "--window", "4"),
+        ("slide", "abaababaab", "--window", "4", "--per-step", "--format", "json"),
+        ("gen-family", "--family", "ZGeneral", "--d", "6", "--sigma-w", "4", "--sigma", "5", "--check"),
+    ],
+    ids=["slide-text", "slide-json", "gen-family-check"],
+)
+def test_theorem_violation_exits_3_with_one_falsified_line(capsys, monkeypatch, argv):
+    plant_violation(monkeypatch, TheoremViolationError)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("FALSIFIED planted violation in window ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_consistency_error_stays_a_traceback(capsys, monkeypatch):
+    plant_violation(monkeypatch, ConsistencyError)
+    with pytest.raises(ConsistencyError, match="planted violation"):
+        main(["slide", "abaababaab", "--window", "4"])
 
 
 def test_console_script_wiring():

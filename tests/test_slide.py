@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -401,12 +402,46 @@ def test_derived_walk_matches_oracle_walk(text, d, symbols):
     assert slide_totals(text, d, alphabet).per_step == tuple(size for size, _, _ in oracle)
 
 
-class CountingText(str):
-    """A text that counts the ``find`` calls made on it."""
+class FindLog:
+    """``find`` calls per (direction, window start, phase); the phase is "L" inside the search for L."""
 
-    def find(self, *args):
-        self.finds += 1
-        return str.find(self, *args)
+    def __init__(self):
+        self.calls = Counter()
+        self.phase = "AB"
+
+
+class CountingText(str):
+    """A text that logs the ``find`` calls made on it, and on its reversal, in a :class:`FindLog`."""
+
+    def __new__(cls, text, log, direction="forward"):
+        self = super().__new__(cls, text)
+        self.log, self.direction = log, direction
+        return self
+
+    def find(self, sub, start, end):
+        self.log.calls[self.direction, start, self.log.phase] += 1
+        return str.find(self, sub, start, end)
+
+    def __getitem__(self, key):
+        if key == slice(None, None, -1):
+            return CountingText(str(self)[::-1], self.log, "mirror")
+        return str.__getitem__(self, key)
+
+
+def longest_suffix_in(ext, window):
+    """L by its definition: the longest suffix of ``ext`` that occurs in ``window``."""
+    return max(m for m in range(len(window) + 1) if ext[len(ext) - m :] in window)
+
+
+def repeat_len(window):
+    """r by its definition: the longest suffix of ``window`` that also occurs in ``window[:-1]``."""
+    return max(m for m in range(len(window)) if window[len(window) - m :] in window[:-1])
+
+
+# At d = 60, L falls from 60 at step 0 to 0 at step 1, and the delete side's L
+# starts at 60; in the shorter text L is 0 at once, 60 below the first step's bound.
+COLLAPSE = "a" * 61 + "b" + "a" * 60
+FIRST_STEP_COLLAPSE = "a" * 60 + "b" + "a" * 60
 
 
 @pytest.mark.parametrize(
@@ -415,19 +450,92 @@ class CountingText(str):
         ("".join(random.Random(4).choices("ACGT", k=600)), 200),
         (periodic_with_break("abc", 60, "a"), 60),
         ("a" * 50, 20),
+        (COLLAPSE, 60),
+        (FIRST_STEP_COLLAPSE, 60),
+        ("".join(random.Random(5).choices("ACGT", k=300)), 299),
+        (periodic_with_break("aab", 40, "b"), 40),
     ],
-    ids=["dna", "periodic-break", "unary"],
+    ids=["dna", "periodic-break", "unary", "collapse", "first-step-collapse", "dna-n-minus-1", "aab-break"],
 )
-def test_derivation_find_calls_within_the_cost_bound(text, d):
-    # Per step: a binary search for L, one test per symbol for (A), and for each
-    # k in L + 1 .. r + 1 one repeat test and one test per symbol for (B), plus
-    # the repeat test that stops the loop; r is W's longest repeated suffix.
-    for i in range(len(text) - d):
-        window, ext = text[i : i + d], text[i : i + d + 1]
-        L = max(m for m in range(d + 1) if ext[len(ext) - m :] in window)
-        r = max(m for m in range(d) if window[d - m :] in window[:-1])
+def test_derivation_find_calls_within_the_cost_bound(monkeypatch, text, d):
+    # Per step and direction: at most 2 ceil(log2(d + 1)) tests for L, galloping
+    # from the bound the step before left; one test per symbol for (A); and for
+    # each k in L + 1 .. r + 1 one repeat test and one test per symbol for (B),
+    # plus the repeat test that stops the loop.  Over the slide, L costs
+    # O((n - d) + log d) tests per direction.
+    log = FindLog()
+    search = slide._longest_suffix
+
+    def counted_search(*args):
+        log.phase = "L"
+        try:
+            return search(*args)
+        finally:
+            log.phase = "AB"
+
+    monkeypatch.setattr(slide, "_longest_suffix", counted_search)
+    n, steps = len(text), len(text) - d
+    assert len(list(slide._step_differences(CountingText(text, log), d, None))) == steps
+    per_step_l = 2 * math.ceil(math.log2(d + 1))
+    totals = Counter()
+    for i in range(steps):
+        ext = text[i : i + d + 1]
         sigma = len(set(ext))
-        counted = CountingText(text)
-        counted.finds = 0
-        slide._append_change(counted, i, d, set(ext))
-        assert counted.finds <= math.ceil(math.log2(d + 1)) + sigma + max(0, r - L + 1) * (sigma + 1) + 1, i
+        rev_ext = ext[::-1]
+        for direction, start, e in (("forward", i, ext), ("mirror", n - 1 - i - d, rev_ext)):
+            L, r = longest_suffix_in(e, e[:-1]), repeat_len(e[:-1])
+            l_tests, other = log.calls[direction, start, "L"], log.calls[direction, start, "AB"]
+            assert l_tests <= per_step_l, (direction, i)
+            assert other <= sigma + max(0, r - L + 1) * (sigma + 1) + 1, (direction, i)
+            totals[direction] += l_tests
+    for direction in ("forward", "mirror"):
+        # The general bound of the module docstring, and its O((n - d) + log d) form here.
+        assert totals[direction] <= steps + 2 * steps * math.log2(1 + (n - 1) / steps), direction
+        assert totals[direction] <= 3 * steps + 2 * math.ceil(math.log2(d + 1)), direction
+
+
+def carried_cases():
+    dna = "".join(random.Random(400).choices("ACGT", k=400))
+    cases = [pytest.param(dna, d, "ACGT", id=f"dna-n400-d{d}") for d in (1, 2, 50, 199)]
+    cases.append(pytest.param("".join(random.Random(300).choices(LETTERS, k=300)), 8, LETTERS, id="sigma26-n300-d8"))
+    cases += [
+        pytest.param(periodic_with_break(period, d, breaker), d, symbols, id=f"{period}-break-{breaker}-d{d}")
+        for period, breaker, symbols in (("abc", "a", "abc"), ("aab", "b", "ab"))
+        for d in (7, 60)
+    ]
+    cases.append(pytest.param(COLLAPSE, 60, "ab", id="collapse-d60"))
+    cases.append(pytest.param(FIRST_STEP_COLLAPSE, 60, "ab", id="first-step-collapse-d60"))
+    cases.append(pytest.param(dna[:250], 249, "ACGT", id="dna-n250-d249"))
+    return cases
+
+
+@pytest.mark.parametrize("text, d, symbols", carried_cases())
+def test_carried_facts_match_their_definitions(text, d, symbols):
+    # On every step and in both directions, what the walk carries forward (L, r
+    # and the sliding symbol counts) equals its brute-force definition, and its
+    # reports equal the single-step reports of an automaton MawEngine.
+    alphabet = Alphabet.of(symbols)
+    sigma = alphabet.size
+    steps = list(slide._step_differences(text, d, None))
+    assert len(steps) == len(text) - d
+    for i, (gone, _, r, gained, _, mirror_r, sigma_w, sigma_e, sigma_next) in enumerate(steps):
+        ext = text[i : i + d + 1]
+        window, nxt = ext[:-1], ext[1:]
+        # The deleted word of each direction is E's suffix of length L + 1.
+        assert len(gone[0]) - 1 == longest_suffix_in(ext, window), i
+        assert len(gained[0]) - 1 == longest_suffix_in(ext[::-1], nxt[::-1]), i
+        assert (r, mirror_r) == (repeat_len(window), repeat_len(nxt[::-1])), i
+        assert (sigma_w, sigma_e, sigma_next) == (len(set(window)), len(set(ext)), len(set(nxt))), i
+
+    engine = MawEngine(alphabet)
+    walk = list(slide_steps(text, d, alphabet))
+    for i, (_, ap, de) in enumerate(walk):
+        ext = text[i : i + d + 1]
+        want = append_delta(ext[:-1], ext[-1], alphabet, engine), delete_delta(ext, alphabet, engine)
+        assert [r.to_payload(check_step(r, sigma)) for r in (ap, de)] == [
+            r.to_payload(check_step(r, sigma)) for r in want
+        ], i
+        assert (ap, de) == want, i  # the window statistics too, which payloads show only through verdicts
+    summary = slide_totals(text, d, alphabet)
+    assert summary.per_step == tuple(size for size, _, _ in walk)
+    assert summary.sigma_max_window == max(len(set(text[i : i + d])) for i in range(len(text) - d + 1))
