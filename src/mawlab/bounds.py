@@ -140,8 +140,12 @@ def check_step(report: DeltaReport, sigma_global: int) -> tuple[BoundVerdict, ..
 
 def check_totals(summary: SlideSummary, sigma_global: int) -> tuple[BoundVerdict, ...]:
     """Totals-level verdicts for a full slide."""
-    n, d = summary.text_length, summary.d
+    return total_verdicts(summary.text_length, summary.d, summary.total, summary.sigma_max_window, sigma_global)
+
+
+def total_verdicts(n: int, d: int, total: int, sigma_max_window: int, sigma_global: int) -> tuple[BoundVerdict, ...]:
+    """Totals-level verdicts for a slide of ``n`` symbols with window ``d`` whose steps change ``total`` words."""
     return (
-        BoundVerdict(BoundId.TOTAL_D_N, bound_total(n, d, summary.sigma_max_window), summary.total),
-        BoundVerdict(BoundId.TOTAL_SIGMA_N, 2 * (n - d) * (sigma_global + d + 1), summary.total),
+        BoundVerdict(BoundId.TOTAL_D_N, bound_total(n, d, sigma_max_window), total),
+        BoundVerdict(BoundId.TOTAL_SIGMA_N, 2 * (n - d) * (sigma_global + d + 1), total),
     )

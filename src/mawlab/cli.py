@@ -13,7 +13,20 @@ byte.  CPython uses its C encoder only when ``indent`` is None, so the writer
 here hands each container that holds only scalars to one call of that C
 encoder, with the newline and indent of the container's depth as the item
 separator, and frames in Python only the containers that hold containers.
-Without the ``_json`` accelerator it falls back to ``json.dumps``.
+Without the ``_json`` accelerator those calls go to ``json.dumps`` with the
+same separators.  The writer's pieces go to stdout unjoined.
+
+``slide`` and ``maw`` build no dict per step or per row.  Each JSON table row
+and each ``--per-step`` step is rendered to text as it is made, straight from
+the step's two ``DeltaReport``s and their ``BoundVerdict`` tuples: their
+nesting depths are fixed (rows and steps at 3, a step's reports at 4), so a
+word list is its encoded words joined by that depth's separator, a verdict is
+one % template, and each dict's keys are put in sorted order once, when its
+template is made.  The rendered items sit in an ``_Items`` list, which the
+writer splices in where the list goes; every other container is encoded as
+above.  ``DeltaReport.to_payload`` remains the schema of a step's report: the
+tests compare the rendered text with ``json.dumps`` of the payloads built
+from it.
 """
 
 from __future__ import annotations
@@ -24,13 +37,16 @@ import io
 import json
 import sys
 from datetime import datetime, timezone
+from functools import partial
+from itertools import chain, islice
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 
 from . import __version__
 from .core import Alphabet, InputError, TheoremViolationError
-from .bounds import BoundId, check_step, check_totals
+from .bounds import BoundId, BoundVerdict, check_step, total_verdicts
 from .families import generate, measure
-from .slide import _ENUMERATORS, SlideSummary, slide_steps
+from .slide import _ENUMERATORS, DeltaReport, MawType, SlideSummary, slide_steps
 from .verify import PRESETS, CampaignConfig, run_exhaustive, run_random
 
 EXIT_OK = 0
@@ -61,20 +77,45 @@ def _reject(obj: object) -> object:
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
+def _indents(depth: int) -> tuple[str, str, str]:
+    """The texts before the first item of a container at ``depth``, between its items, and before its close."""
+    inner = "\n" + "  " * (depth + 1)
+    return inner, "," + inner, "\n" + "  " * depth
+
+
+def _py_encode(separators: tuple[str, str], obj: object, _indent_level: int) -> tuple[str]:
+    return (json.dumps(obj, separators=separators, sort_keys=True),)
+
+
 class _Levels(dict):
-    """Per nesting depth: the C encoder for a flat container at that depth, whose item
+    """Per nesting depth: the encoder for a flat container at that depth, whose item
     separator carries the newline and indent, and the texts that open the first item,
-    separate the others and close the container."""
+    separate the others and close the container.  The encoder is CPython's C encoder,
+    or ``json.dumps`` with the same separators where the ``_json`` accelerator is missing."""
+
+    def __init__(self, native: bool) -> None:
+        self.native = native
 
     def __missing__(self, depth: int) -> tuple:
-        indent = "  " * depth
-        inner = indent + "  "
-        encode = c_make_encoder(None, _reject, encode_basestring_ascii, None, ": ", ",\n" + inner, True, False, True)
-        self[depth] = level = (encode, "\n" + inner, ",\n" + inner, "\n" + indent)
+        first, sep, close = _indents(depth)
+        if self.native:
+            encode = c_make_encoder(None, _reject, encode_basestring_ascii, None, ": ", sep, True, False, True)
+        else:
+            encode = partial(_py_encode, (sep, ": "))
+        self[depth] = level = (encode, first, sep, close)
         return level
 
 
-_LEVELS = _Levels()
+_LEVELS, _PY_LEVELS = _Levels(True), _Levels(False)
+
+
+class _Items(list):
+    """A JSON list's items as text pieces, rendered at the list's item depth.
+
+    Each item is preceded by the item separator of the list's depth; ``_write``
+    splices the pieces between the brackets, the first separator written as
+    the first item's newline.
+    """
 
 
 def _key_text(key: object, encode) -> str:
@@ -86,9 +127,19 @@ def _key_text(key: object, encode) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def _write(obj: dict | list | tuple, depth: int, out: list[str]) -> None:
+def _write(obj: dict | list | tuple, depth: int, out: list[str], levels: _Levels) -> None:
     """Append the ``json.dumps(indent=2, sort_keys=True)`` text of container ``obj`` at ``depth``."""
-    encode, first, sep, close = _LEVELS[depth]
+    encode, first, sep, close = levels[depth]
+    if type(obj) is _Items:
+        if not obj:
+            out.append("[]")
+            return
+        if obj[0] != sep:
+            raise ValueError(f"items are not rendered at depth {depth + 1}")
+        out += ("[", first)
+        out += islice(obj, 1, None)
+        out += (close, "]")
+        return
     is_dict = isinstance(obj, dict)
     for value in obj.values() if is_dict else obj:
         if isinstance(value, _CONTAINERS):
@@ -107,7 +158,7 @@ def _write(obj: dict | list | tuple, depth: int, out: list[str]) -> None:
             out += (first, encode_basestring_ascii(_key_text(key, encode)), ": ")
             first = sep
             if isinstance(value, _CONTAINERS):
-                _write(value, depth, out)
+                _write(value, depth, out, levels)
             else:
                 out += encode(value, 0)
         out += (close, "}")
@@ -117,19 +168,114 @@ def _write(obj: dict | list | tuple, depth: int, out: list[str]) -> None:
             out.append(first)
             first = sep
             if isinstance(value, _CONTAINERS):
-                _write(value, depth, out)
+                _write(value, depth, out, levels)
             else:
                 out += encode(value, 0)
         out += (close, "]")
 
 
+def _json_pieces(obj: dict | list | tuple) -> list[str]:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, in pieces."""
+    out: list[str] = []
+    _write(obj, 0, out, _LEVELS if c_make_encoder is not None else _PY_LEVELS)
+    return out
+
+
 def _dumps(obj: dict | list | tuple) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, with flat containers encoded in C."""
-    if c_make_encoder is None:
-        return json.dumps(obj, indent=2, sort_keys=True)
-    out: list[str] = []
-    _write(obj, 0, out)
-    return "".join(out)
+    return "".join(_json_pieces(obj))
+
+
+# Renderers for the per-step objects and table rows of ``slide`` and ``maw``.
+# Their depths are fixed by the envelope: payload at 1, its lists at 2, so a
+# table row or a --per-step step sits at 3 and a step's reports at 4.
+
+
+def _dict_template(keys: list[str], depth: int) -> str:
+    """A % template for a dict at ``depth`` with one ``%s`` per key.
+
+    ``keys`` come in sorted order, the order ``sort_keys`` writes them, and
+    the template's values are given in the same order.
+    """
+    if keys != sorted(keys):
+        raise ValueError(f"keys are not in sorted order: {keys}")
+    first, sep, close = _indents(depth)
+    fields = sep.join(f"{encode_basestring_ascii(key)}: %s" for key in keys)
+    return f"{{{first}{fields}{close}}}"
+
+
+_ITEM_SEP = _indents(2)[1]  # before each table row and each step
+_D5, _D6 = _indents(5), _indents(6)
+_BOOL = ("false", "true")
+_BOUND_TEXT = {bound: encode_basestring_ascii(bound) for bound in BoundId}
+_VERDICT = _dict_template(["bound", "bound_id", "observed", "satisfied", "slack"], 6)
+_BY_TYPE = _dict_template([t.label for t in MawType], 5)
+# A report's values but its verdicts go into one template; the verdicts follow it as pieces.
+_REPORT_HEAD, _REPORT_CLOSE = _dict_template(
+    [
+        "added", "added_by_type", "after", "before", "d", "deleted", "delta", "direction",
+        "injection_witness", "sigma_ext", "sigma_window", "verdicts",
+    ],
+    4,
+).rsplit("%s", 1)
+# A step: _STEP_OPEN, its append report, _STEP_MID, its delete report, _STEP_TAIL % (fused_delta, step_index).
+_STEP_OPEN, _STEP_MID, _STEP_TAIL = _dict_template(["append", "delete", "fused_delta", "step_index"], 3).split("%s", 2)
+# A JSON slide row takes a row's cells in sorted column order.
+_SLIDE_ROW = _dict_template(sorted(_SLIDE_COLUMNS), 3)
+_SORTED_CELLS = itemgetter(*sorted(range(len(_SLIDE_COLUMNS)), key=_SLIDE_COLUMNS.__getitem__))
+_MAW_ROW = _dict_template(["length", "word"], 3)
+
+
+def _strings_text(words: tuple[str, ...], level: tuple[str, str, str]) -> str:
+    """A list of strings at the depth of ``level`` (see ``_indents``)."""
+    if not words:
+        return "[]"
+    first, sep, close = level
+    return f"[{first}{sep.join(map(encode_basestring_ascii, words))}{close}]"
+
+
+def _render_report(report: DeltaReport, verdicts: tuple[BoundVerdict, ...], out: list[str]) -> None:
+    """Append the text of ``report.to_payload(verdicts)`` at depth 4: one piece for every
+    value but the verdicts, then one per verdict and separator."""
+    by_type = report.added_by_type
+    witness = report.injection_witness
+    if witness:
+        first, sep, close = _D5
+        pairs = sep.join([f"{encode_basestring_ascii(w)}: {pos}" for w, pos in sorted(witness.items())])
+        witness_text = f"{{{first}{pairs}{close}}}"
+    else:
+        witness_text = "{}"
+    out.append(
+        _REPORT_HEAD
+        % (
+            _strings_text(report.added, _D5),
+            _BY_TYPE
+            % (
+                _strings_text(by_type[MawType.TYPE1], _D6),
+                _strings_text(by_type[MawType.TYPE2], _D6),
+                _strings_text(by_type[MawType.TYPE3], _D6),
+            ),
+            encode_basestring_ascii(report.after),
+            encode_basestring_ascii(report.before),
+            report.d,
+            _strings_text(report.deleted, _D5),
+            len(report.deleted) + len(report.added),
+            encode_basestring_ascii(report.direction),
+            witness_text,
+            report.sigma_ext,
+            report.sigma_window,
+        )
+    )
+    if verdicts:
+        lead, sep, close = _D5
+        out.append("[")
+        for bound_id, bound, observed in verdicts:
+            out += (lead, _VERDICT % (bound, _BOUND_TEXT[bound_id], observed, _BOOL[observed <= bound], bound - observed))
+            lead = sep
+        out += (close, "]")
+    else:
+        out.append("[]")
+    out.append(_REPORT_CLOSE)
 
 
 def _one_line(value: str | None, source: str) -> str | None:
@@ -166,7 +312,7 @@ def _resolve_engine(name: str) -> str:
     return "automaton" if name == "auto" else name
 
 
-def _emit(args: argparse.Namespace, payload: dict, alphabet: str | None, text_lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: dict | None, alphabet: str | None, text_lines: list[str]) -> None:
     if args.format == "json":
         envelope = {
             "tool": "mawlab",
@@ -177,7 +323,9 @@ def _emit(args: argparse.Namespace, payload: dict, alphabet: str | None, text_li
         }
         if args.timestamps:
             envelope["timestamps"] = {"emitted": datetime.now(timezone.utc).isoformat()}
-        print(_dumps(envelope))
+        pieces = _json_pieces(envelope)
+        pieces.append("\n")
+        sys.stdout.writelines(pieces)
     elif args.format == "csv":
         table = payload["table"]
         columns = payload["table_columns"]
@@ -196,10 +344,18 @@ def _cmd_maw(args: argparse.Namespace) -> int:
     text = _read_text(args)
     alphabet = _resolve_alphabet(args, text)
     maw_set = _ENUMERATORS[_resolve_engine(args.engine)](text, alphabet)
-    payload = maw_set.to_payload()
-    if args.format != "text":
+    if args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("word", "length"))
+        writer.writerows((w, len(w)) for w in maw_set.words)
+        return EXIT_OK
+    payload = None
+    if args.format == "json":
+        payload = maw_set.to_payload()
         payload["table_columns"] = ["word", "length"]
-        payload["table"] = [{"word": w, "length": len(w)} for w in maw_set.words]
+        payload["table"] = _Items(
+            chain.from_iterable((_ITEM_SEP, _MAW_ROW % (len(w), encode_basestring_ascii(w))) for w in maw_set.words)
+        )
     _emit(args, payload, alphabet.as_str(), [",".join(maw_set.words)])
     return EXIT_OK
 
@@ -210,26 +366,28 @@ def _cmd_slide(args: argparse.Namespace) -> int:
     sigma = alphabet.size
     steps = slide_steps(text, args.window, alphabet, _resolve_engine(args.engine))
 
-    # CSV rows are written as they are made; only json keeps rows, and text
-    # output keeps only the fused sizes.
+    # CSV writes each row as its step is made, and json renders each row (and
+    # each --per-step step) to text pieces as it is made; text keeps no rows.
+    # Only json and the text --per-step lines keep the fused sizes.
+    as_json = args.format == "json"
     writer = csv.writer(sys.stdout, lineterminator="\n") if args.format == "csv" else None
     if writer is not None:
         writer.writerow(_SLIDE_COLUMNS)
-    keep_rows = args.format == "json"
-    unchecked = [None if keep_rows else ""] * len(BoundId)
-    keep_steps = args.per_step and keep_rows
-    sigma_max = 0
-    deltas: list[int] = []
-    rows: list[dict] = []
-    steps_payload: list[dict] = []
+    unchecked = ["null" if as_json else ""] * len(BoundId)
+    sizes: list[int] | None = [] if as_json or (args.per_step and writer is None) else None
+    rows = _Items()
+    step_items = _Items() if as_json and args.per_step else None
+    total = sigma_max = 0
     all_ok = True
     for i, (fused, ap, de) in enumerate(steps):
         ap_verdicts, de_verdicts = check_step(ap, sigma), check_step(de, sigma)
         sigma_max = max(sigma_max, ap.sigma_window, de.sigma_window)
-        deltas.append(fused)
+        total += fused
+        if sizes is not None:
+            sizes.append(fused)
         verdicts = ap_verdicts + de_verdicts
         all_ok = all_ok and all(v.satisfied for v in verdicts)
-        if writer is not None or keep_rows:
+        if writer is not None or as_json:
             cells = [i, args.window, ap.sigma_window, ap.sigma_ext, len(ap.deleted), *ap.type_counts, fused]
             cells += unchecked
             for v in verdicts:
@@ -237,29 +395,27 @@ def _cmd_slide(args: argparse.Namespace) -> int:
             if writer is not None:
                 writer.writerow(cells)
             else:
-                rows.append(dict(zip(_SLIDE_COLUMNS, cells)))
-        if keep_steps:
-            steps_payload.append(
-                {
-                    "step_index": i,
-                    "fused_delta": fused,
-                    "append": ap.to_payload(ap_verdicts),
-                    "delete": de.to_payload(de_verdicts),
-                }
-            )
+                rows += (_ITEM_SEP, _SLIDE_ROW % _SORTED_CELLS(cells))
+        if step_items is not None:
+            step_items += (_ITEM_SEP, _STEP_OPEN)
+            _render_report(ap, ap_verdicts, step_items)
+            step_items.append(_STEP_MID)
+            _render_report(de, de_verdicts, step_items)
+            step_items.append(_STEP_TAIL % (fused, i))
 
-    summary = SlideSummary(len(text), args.window, tuple(deltas), sigma_max)
-    totals_verdicts = check_totals(summary, sigma)
+    totals_verdicts = total_verdicts(len(text), args.window, total, sigma_max, sigma)
     if writer is None:
-        payload = summary.to_payload()
-        payload["totals_verdicts"] = [v.to_payload() for v in totals_verdicts]
-        payload["table_columns"] = _SLIDE_COLUMNS
-        payload["table"] = rows
-        if keep_steps:
-            payload["steps"] = steps_payload
-        lines = [f"n={summary.text_length} d={summary.d} total={summary.total}"]
+        payload = None
+        if as_json:
+            payload = SlideSummary(len(text), args.window, tuple(sizes), sigma_max).to_payload()
+            payload["totals_verdicts"] = [v.to_payload() for v in totals_verdicts]
+            payload["table_columns"] = _SLIDE_COLUMNS
+            payload["table"] = rows
+            if step_items is not None:
+                payload["steps"] = step_items
+        lines = [f"n={len(text)} d={args.window} total={total}"]
         if args.per_step:
-            lines += [f"step {i}: delta={delta}" for i, delta in enumerate(deltas)]
+            lines += [f"step {i}: delta={delta}" for i, delta in enumerate(sizes)]
         _emit(args, payload, alphabet.as_str(), lines)
     return EXIT_OK if all_ok and all(v.satisfied for v in totals_verdicts) else EXIT_FALSIFIED
 

@@ -249,7 +249,12 @@ class DeltaReport:
         return self.sigma_window == self.sigma_ext
 
     def to_payload(self, verdicts: Iterable = ()) -> dict:
-        """The report as JSON-ready data, with the caller's ``verdicts`` on it (see ``bounds.check_step``)."""
+        """The report as JSON-ready data, with the caller's ``verdicts`` on it (see ``bounds.check_step``).
+
+        This is the reference schema of a ``slide --per-step`` report.  The CLI
+        renders the same text directly from the report and its verdicts
+        without building this dict; the tests hold the two to the same bytes.
+        """
         return {
             "direction": self.direction,
             "before": self.before,

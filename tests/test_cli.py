@@ -1,20 +1,24 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mawlab import cli, slide
+from mawlab import __version__, bounds, cli, slide
 from mawlab.automaton import SuffixAutomaton
-from mawlab.bounds import BoundId
+from mawlab.bounds import BoundId, check_step, check_totals
 from mawlab.cli import main
-from mawlab.core import ConsistencyError, TheoremViolationError
-from mawlab.slide import MawType
+from mawlab.core import Alphabet, ConsistencyError, TheoremViolationError
+from mawlab.slide import MawType, SlideSummary, slide_steps
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +162,23 @@ class TestSlideCommand:
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and err.startswith("FALSIFIED ")
         assert out == "".join(full.splitlines(keepends=True)[:2])
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_slide_memory_does_not_grow_with_n(self, fmt):
+        """csv, and text without --per-step, keep nothing per step: only the text's own copies grow."""
+        rng = random.Random(5)
+        peaks = []
+        for n in (300, 500, 2500):  # the first run warms up caches
+            text = "".join(rng.choice("ACGT") for _ in range(n))
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                tracemalloc.start()
+                try:
+                    assert main(["slide", text, "--alphabet", "ACGT", "--window", "4", "--format", fmt]) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        # Keeping each fused size costs about 16 bytes per step, 32 000 here.
+        assert peaks[2] - peaks[1] < 6 * 2000, peaks
 
     def test_default_slide_builds_no_automaton(self, capsys, monkeypatch):
         builds = []
@@ -455,10 +476,104 @@ def test_writer_equals_json_dumps(tree):
     assert cli._dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
 
+def slide_json_reference(text, d, symbols, per_step, argv):
+    """``slide --format json`` stdout built the way the payload is defined: every step
+    and row as a dict (``DeltaReport.to_payload``), the whole envelope through ``json.dumps``."""
+    alphabet = Alphabet.of(symbols)
+    sigma = alphabet.size
+    rows, steps, sizes, sigma_max, ok = [], [], [], 0, True
+    for i, (fused, ap, de) in enumerate(slide_steps(text, d, alphabet)):
+        ap_verdicts, de_verdicts = check_step(ap, sigma), check_step(de, sigma)
+        sizes.append(fused)
+        sigma_max = max(sigma_max, ap.sigma_window, de.sigma_window)
+        row = dict.fromkeys(cli._SLIDE_COLUMNS)
+        row.update(step_index=i, d=d, sigma_window=ap.sigma_window, sigma_ext=ap.sigma_ext,
+                   deleted=len(ap.deleted), delta=fused)
+        row.update(zip(("m1", "m2", "m3"), ap.type_counts))
+        for v in ap_verdicts + de_verdicts:
+            row[v.bound_id] = v.slack
+            ok = ok and v.satisfied
+        rows.append(row)
+        steps.append({"step_index": i, "fused_delta": fused,
+                      "append": ap.to_payload(ap_verdicts), "delete": de.to_payload(de_verdicts)})
+    summary = SlideSummary(len(text), d, tuple(sizes), sigma_max)
+    totals = check_totals(summary, sigma)
+    payload = summary.to_payload()
+    payload["totals_verdicts"] = [v.to_payload() for v in totals]
+    payload["table_columns"] = list(cli._SLIDE_COLUMNS)
+    payload["table"] = rows
+    if per_step:
+        payload["steps"] = steps
+    envelope = {"tool": "mawlab", "version": __version__, "command": list(argv),
+                "alphabet": alphabet.as_str(), "payload": payload}
+    code = 0 if ok and all(v.satisfied for v in totals) else 3
+    return code, json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+
+
+def assert_slide_json_matches_reference(text, d, symbols, per_step):
+    argv = ["slide", text, "--alphabet", symbols, "--window", str(d), "--format", "json"]
+    argv += ["--per-step"] if per_step else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert err == ""
+    assert (code, out) == slide_json_reference(text, d, symbols, per_step, argv)
+    return code, out
+
+
+# Symbols json escapes or that look like its own syntax, a tab, DEL and an
+# astral symbol (escaped as a surrogate pair); none can start an option.
+_SLIDE_SYMBOLS = '",\\]{é\t\x7f𝄞ab'
+
+
+@st.composite
+def slide_cases(draw):
+    symbols = "".join(draw(st.lists(st.sampled_from(_SLIDE_SYMBOLS), min_size=1, max_size=5, unique=True)))
+    text = draw(st.text(st.sampled_from(symbols), min_size=2, max_size=24))
+    d = draw(st.integers(1, len(text) - 1))
+    return text, d, symbols, draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(slide_cases())
+@example(("ab𝄞é\t\x7f𝄞ab{", 3, "ab𝄞é\t\x7f{", True))
+@example(('",\\]{é\t\x7f𝄞', 8, '",\\]{é\t\x7f𝄞', True))
+def test_slide_json_equals_the_reference_payload(case):
+    text, d, symbols, per_step = case
+    _, out = assert_slide_json_matches_reference(text, d, symbols, per_step)
+    if "𝄞" in text:
+        assert "\\ud834\\udd1e" in out
+
+
+def test_slide_json_with_unsatisfied_verdicts_equals_the_reference(monkeypatch):
+    monkeypatch.setattr(bounds, "bound_general_append", lambda d, sigma_window: 0)
+    code, out = assert_slide_json_matches_reference("abaababaabbab", 4, "ab", True)
+    assert code == 3
+    assert '"satisfied": false' in out and '"slack": -' in out
+    assert '"GeneralAppend": -' in out and '"GeneralDelete": -' in out
+
+
 def test_writer_falls_back_without_the_c_encoder(monkeypatch):
     tree = {"b": [1, {"c": None}], "a": "é"}
     monkeypatch.setattr(cli, "c_make_encoder", None)
     assert cli._dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+    assert_slide_json_matches_reference('é"a{é"a\t{', 3, 'é"a{\t', True)
+
+
+@pytest.mark.parametrize("symbols", ["ACGT", _SLIDE_SYMBOLS], ids=["dna", "odd"])
+def test_maw_json_and_csv_equal_the_reference_rows(capsys, symbols):
+    text = (symbols * 7)[::3] + symbols[::-1]
+    maw_set = slide._ENUMERATORS["automaton"](text, Alphabet.of(symbols))
+    rows = [{"word": w, "length": len(w)} for w in maw_set.words]
+    argv = ["maw", text, "--alphabet", symbols, "--format", "json"]
+    payload = dict(maw_set.to_payload(), table_columns=["word", "length"], table=rows)
+    envelope = {"tool": "mawlab", "version": __version__, "command": argv, "alphabet": symbols, "payload": payload}
+    assert run_cli(capsys, *argv) == (0, json.dumps(envelope, indent=2, sort_keys=True) + "\n", "")
+    code, out, _ = run_cli(capsys, *argv[:-1], "csv")
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows([["word", "length"], *([w, len(w)] for w in maw_set.words)])
+    assert (code, out) == (0, expected.getvalue())
 
 
 # In code-point order: gen-family --check compares its expected words in symbol order.

@@ -19,9 +19,15 @@ def capture(argv):
     return code, buf.getvalue()
 
 
+def assert_json_dumps_text(out):
+    """JSON output is ``json.dumps(indent=2, sort_keys=True)`` byte for byte, whitespace included."""
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def test_slide_json_payload_golden():
     code, out = capture(["slide", "abababab", "--window", "4", "--format", "json"])
     assert code == 0
+    assert_json_dumps_text(out)
     payload = json.loads(out)["payload"]
     expected = json.loads((DATA / "slide_abababab_w4_payload.json").read_text())
     assert payload == expected
@@ -34,6 +40,7 @@ ACGT80 = "GATTCTGGCAAGGCAGCTGCAATTATGATCTAGCCGCGGGGGGTTTGCGTCGTGAAATTTAAACTTTAGT
 def test_slide_long_window_per_step_payload_golden():
     code, out = capture(["slide", ACGT80, "--alphabet", "ACGT", "--window", "40", "--per-step", "--format", "json"])
     assert code == 0
+    assert_json_dumps_text(out)
     payload = json.loads(out)["payload"]
     expected = json.loads((DATA / "slide_acgt80_w40_payload.json").read_text())
     assert payload == expected
@@ -63,6 +70,7 @@ def test_slide_mutated_periodic_per_step_payload_golden():
     text = mutated_periodic_text()
     code, out = capture(["slide", text, "--alphabet", "abc", "--window", "60", "--per-step", "--format", "json"])
     assert code == 0
+    assert_json_dumps_text(out)
     payload = json.loads(out)["payload"]
     expected = json.loads((DATA / "slide_periodic200_w60_payload.json").read_text())
     assert payload == expected
