@@ -9,24 +9,20 @@ exactly.  Output is deterministic; timestamps are only added with
 --timestamps.
 
 JSON output is ``json.dumps(envelope, indent=2, sort_keys=True)`` byte for
-byte.  CPython uses its C encoder only when ``indent`` is None, so the writer
-here hands each container that holds only scalars to one call of that C
-encoder, with the newline and indent of the container's depth as the item
-separator, and frames in Python only the containers that hold containers.
-Without the ``_json`` accelerator those calls go to ``json.dumps`` with the
-same separators.  The writer's pieces go to stdout unjoined.
+byte, and it is made by that call, except for the payload's large lists.
 
-``slide`` and ``maw`` build no dict per step or per row.  Each JSON table row
-and each ``--per-step`` step is rendered to text as it is made, straight from
-the step's two ``DeltaReport``s and their ``BoundVerdict`` tuples: their
-nesting depths are fixed (rows and steps at 3, a step's reports at 4), so a
-word list is its encoded words joined by that depth's separator, a verdict is
-one % template, and each dict's keys are put in sorted order once, when its
-template is made.  The rendered items sit in an ``_Items`` list, which the
-writer splices in where the list goes; every other container is encoded as
-above.  ``DeltaReport.to_payload`` remains the schema of a step's report: the
-tests compare the rendered text with ``json.dumps`` of the payloads built
-from it.
+``slide`` and ``maw`` build no dict per step or per row.  Each JSON table row,
+each ``--per-step`` step and ``maw``'s word list is rendered to text as it is
+made, straight from the step's two ``DeltaReport``s and their
+``BoundVerdict`` tuples or from the words: their nesting depths are fixed
+(rows and steps at 3, a step's reports at 4), so a word list is its encoded
+words joined by that depth's separator, a verdict is one % template, and each
+dict's keys are put in sorted order once, when its template is made.  The
+rendered items sit in an ``_Items`` list, which goes into ``json.dumps`` as
+``[]``; the writer splices the items in at that text and writes the pieces
+to stdout unjoined.  ``DeltaReport.to_payload`` remains the schema of a
+step's report: the tests compare the rendered text with ``json.dumps`` of the
+payloads built from it.
 """
 
 from __future__ import annotations
@@ -37,9 +33,8 @@ import io
 import json
 import sys
 from datetime import datetime, timezone
-from functools import partial
 from itertools import chain, islice
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from . import __version__
@@ -70,120 +65,39 @@ _SLIDE_COLUMNS = [
 _BOUND_CELL = {bound: _SLIDE_COLUMNS.index(bound) for bound in BoundId}
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
-def _reject(obj: object) -> object:
-    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-
-
 def _indents(depth: int) -> tuple[str, str, str]:
     """The texts before the first item of a container at ``depth``, between its items, and before its close."""
     inner = "\n" + "  " * (depth + 1)
     return inner, "," + inner, "\n" + "  " * depth
 
 
-def _py_encode(separators: tuple[str, str], obj: object, _indent_level: int) -> tuple[str]:
-    return (json.dumps(obj, separators=separators, sort_keys=True),)
-
-
-class _Levels(dict):
-    """Per nesting depth: the encoder for a flat container at that depth, whose item
-    separator carries the newline and indent, and the texts that open the first item,
-    separate the others and close the container.  The encoder is CPython's C encoder,
-    or ``json.dumps`` with the same separators where the ``_json`` accelerator is missing."""
-
-    def __init__(self, native: bool) -> None:
-        self.native = native
-
-    def __missing__(self, depth: int) -> tuple:
-        first, sep, close = _indents(depth)
-        if self.native:
-            encode = c_make_encoder(None, _reject, encode_basestring_ascii, None, ": ", sep, True, False, True)
-        else:
-            encode = partial(_py_encode, (sep, ": "))
-        self[depth] = level = (encode, first, sep, close)
-        return level
-
-
-_LEVELS, _PY_LEVELS = _Levels(True), _Levels(False)
-
-
 class _Items(list):
-    """A JSON list's items as text pieces, rendered at the list's item depth.
+    """A payload list's items as text pieces, each item preceded by the item separator of depth 2."""
 
-    Each item is preceded by the item separator of the list's depth; ``_write``
-    splices the pieces between the brackets, the first separator written as
-    the first item's newline.
+
+def _json_pieces(envelope: dict) -> list[str]:
+    """The text of ``json.dumps(envelope, indent=2, sort_keys=True)``, byte for byte, in pieces.
+
+    Each non-empty ``_Items`` value of the payload is dumped as ``[]`` and its
+    pieces are spliced in at that text.  The match is exact: ``indent=2``
+    writes a raw newline only before an item or a close, and json escapes a
+    newline inside a string, so ``'\n    "<key>": []'`` is only the payload's key.
     """
-
-
-def _key_text(key: object, encode) -> str:
-    """json's text for a dict key: a str as is, an int, float, bool or None as that value's JSON."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, float)) or key is None:
-        return "".join(encode(key, 0))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _write(obj: dict | list | tuple, depth: int, out: list[str], levels: _Levels) -> None:
-    """Append the ``json.dumps(indent=2, sort_keys=True)`` text of container ``obj`` at ``depth``."""
-    encode, first, sep, close = levels[depth]
-    if type(obj) is _Items:
-        if not obj:
-            out.append("[]")
-            return
-        if obj[0] != sep:
-            raise ValueError(f"items are not rendered at depth {depth + 1}")
-        out += ("[", first)
-        out += islice(obj, 1, None)
-        out += (close, "]")
-        return
-    is_dict = isinstance(obj, dict)
-    for value in obj.values() if is_dict else obj:
-        if isinstance(value, _CONTAINERS):
-            break
-    else:
-        text = "".join(encode(obj, 0))
-        if len(text) > 2:
-            out += (text[0], first, text[1:-1], close, text[-1])
-        else:
-            out.append(text)
-        return
-    depth += 1
-    if is_dict:
-        out.append("{")
-        for key, value in sorted(obj.items()):
-            out += (first, encode_basestring_ascii(_key_text(key, encode)), ": ")
-            first = sep
-            if isinstance(value, _CONTAINERS):
-                _write(value, depth, out, levels)
-            else:
-                out += encode(value, 0)
-        out += (close, "}")
-    else:
-        out.append("[")
-        for value in obj:
-            out.append(first)
-            first = sep
-            if isinstance(value, _CONTAINERS):
-                _write(value, depth, out, levels)
-            else:
-                out += encode(value, 0)
-        out += (close, "]")
-
-
-def _json_pieces(obj: dict | list | tuple) -> list[str]:
-    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, in pieces."""
-    out: list[str] = []
-    _write(obj, 0, out, _LEVELS if c_make_encoder is not None else _PY_LEVELS)
-    return out
-
-
-def _dumps(obj: dict | list | tuple) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, with flat containers encoded in C."""
-    return "".join(_json_pieces(obj))
+    payload = envelope["payload"]
+    items = {key: value for key, value in payload.items() if type(value) is _Items and value}
+    if items:
+        envelope = dict(envelope, payload=dict(payload, **dict.fromkeys(items, [])))
+    rest = json.dumps(envelope, indent=2, sort_keys=True)
+    close = _indents(2)[2] + "]"
+    pieces: list[str] = []
+    for key in sorted(items):
+        marker = f"\n    {encode_basestring_ascii(key)}: ["
+        head, rest = rest.split(marker + "]", 1)
+        pieces += (head, marker, items[key][0][1:])  # the first item's separator has no comma
+        pieces += islice(items[key], 1, None)
+        pieces.append(close)
+    pieces.append(rest)
+    return pieces
 
 
 # Renderers for the per-step objects and table rows of ``slide`` and ``maw``.
@@ -352,6 +266,8 @@ def _cmd_maw(args: argparse.Namespace) -> int:
     payload = None
     if args.format == "json":
         payload = maw_set.to_payload()
+        # One piece: a MAW set is never empty (some power of a symbol is absent).
+        payload["words"] = _Items([_ITEM_SEP + _ITEM_SEP.join(map(encode_basestring_ascii, maw_set.words))])
         payload["table_columns"] = ["word", "length"]
         payload["table"] = _Items(
             chain.from_iterable((_ITEM_SEP, _MAW_ROW % (len(w), encode_basestring_ascii(w))) for w in maw_set.words)
@@ -463,7 +379,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_gen_family(args: argparse.Namespace) -> int:
     if args.check_d is not None and not args.check:
         raise InputError("--check-d needs --check")
-    symbols = tuple(args.alphabet) if _one_line(args.alphabet, "--alphabet") else None
+    symbols = tuple(args.alphabet) if _one_line(args.alphabet, "--alphabet") is not None else None
     instance = generate(
         args.family,
         symbols=symbols,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .core import Alphabet, InputError, canonical_words
-from .slide import DeltaReport, MawEngine, MawType, append_delta, slide_totals
+from .slide import DeltaReport, MawType, append_delta, slide_totals
 
 _DISPLAY = string.ascii_lowercase + string.ascii_uppercase + string.digits
 
@@ -304,7 +304,7 @@ def generate(
 
 def measure(
     instance: FamilyInstance,
-    engine: str | MawEngine = "automaton",
+    engine: str = "automaton",
     d: int | None = None,
 ) -> dict:
     """Measure the instance and compare against its expected values.

@@ -20,12 +20,12 @@ reported word is reversed back.  Type labels on a delete report are
 therefore mirrored, with prefix and suffix roles swapped.
 
 Where the differences come from.  ``append_delta`` and ``delete_delta`` take
-literal set differences of two full MAW sets on every engine.  A slide
-(``slide_steps`` and ``slide_totals`` alike) reads every step off one source
-of differences: literal ones on the oracle or on any ``MawEngine`` (every
-campaign), derived ones on the engine name ``automaton``, which builds no
-automaton and no full MAW set but runs ``find`` tests bounded to the
-extended window.
+literal set differences of two full MAW sets, on an engine name or on a
+``MawEngine`` and its memo (every campaign).  A slide (``slide_steps`` and
+``slide_totals`` alike) takes an engine name and reads every step off one
+source of differences: literal ones on ``oracle``, derived ones on
+``automaton``, which builds no automaton and no full MAW set but runs
+``find`` tests bounded to the extended window.
 For W, alpha and E = W + alpha, let L be the length of the longest suffix of
 E that occurs in W (a suffix of an occurring word occurs, so the tests are
 monotone in the length).  The words of E absent from W are exactly the
@@ -146,12 +146,8 @@ _ENUMERATORS = {
 }
 
 
-def _enumerator(engine: str | MawEngine, alphabet: Alphabet) -> Callable[[str], tuple[str, ...]]:
-    """MAW words of a subject: a caller's engine keeps its memo, an engine name gets none."""
-    if isinstance(engine, MawEngine):
-        if engine.alphabet.symbols != alphabet.symbols:
-            raise ConsistencyError("engine alphabet does not match the requested alphabet")
-        return engine.words
+def _enumerator(engine: str, alphabet: Alphabet) -> Callable[[str], tuple[str, ...]]:
+    """MAW words of a subject on the engine named ``engine``, with no memo."""
     if engine not in _ENUMERATORS:
         raise InputError(f"unknown engine {engine!r}; expected one of {sorted(_ENUMERATORS)}")
     enumerate_ = _ENUMERATORS[engine]
@@ -199,6 +195,15 @@ class MawEngine:
 
     def clear(self) -> None:
         self._cache.clear()
+
+
+def _step_words(engine: str | MawEngine, alphabet: Alphabet) -> Callable[[str], tuple[str, ...]]:
+    """MAW words of a subject for a single step: a caller's engine keeps its memo, an engine name gets none."""
+    if not isinstance(engine, MawEngine):
+        return _enumerator(engine, alphabet)
+    if engine.alphabet.symbols != alphabet.symbols:
+        raise ConsistencyError("engine alphabet does not match the requested alphabet")
+    return engine.words
 
 
 @dataclass(frozen=True)
@@ -452,7 +457,7 @@ def append_delta(
         raise InputError("append step needs a non-empty window")
     alphabet.require_text(window)
     alphabet.require_symbol(alpha)
-    words = _enumerator(engine, alphabet)
+    words = _step_words(engine, alphabet)
     before, after = set(words(window)), set(words(window + alpha))
     sigma_window = len(set(window))
     return _append_report(
@@ -476,7 +481,7 @@ def delete_delta(
     if len(window) < 2:
         raise InputError("delete step needs a window of length >= 2")
     alphabet.require_text(window)
-    words = _enumerator(engine, alphabet)
+    words = _step_words(engine, alphabet)
     kept = window[1:]
     before, after = set(words(window)), set(words(kept))
     return _delete_report(
@@ -512,10 +517,8 @@ class SlideSummary:
         }
 
 
-def _slide_source(
-    text: str, d: int, alphabet: Alphabet, engine: str | MawEngine
-) -> Callable[[str], tuple[str, ...]] | None:
-    """Check a slide's input; return the word function of a literal engine, None for the derived one."""
+def _slide_source(text: str, d: int, alphabet: Alphabet, engine: str) -> Callable[[str], tuple[str, ...]] | None:
+    """Check a slide's input; return the word function of the oracle, None for the derived automaton path."""
     n = len(text)
     if not 1 <= d < n:
         raise InputError(f"window length must satisfy 1 <= d < n, got d={d}, n={n}")
@@ -648,7 +651,7 @@ def slide_totals(
     text: str,
     d: int,
     alphabet: Alphabet,
-    engine: str | MawEngine = "automaton",
+    engine: str = "automaton",
 ) -> SlideSummary:
     """Sizes of MAW(T[i..i+d)) symmetric-difference MAW(T[i+1..i+d+1)) for all i.
 
@@ -669,13 +672,13 @@ def slide_steps(
     text: str,
     d: int,
     alphabet: Alphabet,
-    engine: str | MawEngine = "automaton",
+    engine: str = "automaton",
 ) -> Iterator[tuple[int, DeltaReport, DeltaReport]]:
     """Yield ``(fused size, append report, delete report)`` for every step of a slide.
 
     Step i appends to W_i = ``text[i : i + d]`` and deletes the leftmost
     character of E_i = ``text[i : i + d + 1]``.  The engine name
-    ``automaton`` builds no automaton and no full MAW set; any other engine
+    ``automaton`` builds no automaton and no full MAW set; ``oracle``
     enumerates each string once and holds only one step's sets.  The input is
     checked when this is called, before the first step.
     """

@@ -388,7 +388,9 @@ def _effective_workers(config: CampaignConfig) -> int:
     try:
         cap = int(env) if env else None
     except ValueError:
-        raise InputError(f"MAWLAB_THREADS must be an integer, got {env!r}") from None
+        cap = 0
+    if cap is not None and cap < 1:
+        raise InputError(f"MAWLAB_THREADS must be an integer of at least 1, got {env!r}")
     workers = config.workers
     if workers == 0:
         workers = cap if cap is not None else 1

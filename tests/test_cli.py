@@ -2,7 +2,6 @@ import contextlib
 import csv
 import io
 import json
-import math
 import os
 import random
 import subprocess
@@ -13,12 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mawlab import __version__, bounds, cli, slide
+from mawlab import __version__, bounds, cli, slide, verify
 from mawlab.automaton import SuffixAutomaton
-from mawlab.bounds import BoundId, check_step, check_totals
+from mawlab.bounds import check_step, check_totals
 from mawlab.cli import main
-from mawlab.core import Alphabet, ConsistencyError, TheoremViolationError
-from mawlab.slide import MawType, SlideSummary, slide_steps
+from mawlab.core import Alphabet, ConsistencyError, InputError, TheoremViolationError
+from mawlab.slide import SlideSummary, slide_steps
 
 
 def run_cli(capsys, *argv):
@@ -242,9 +241,13 @@ class TestVerifyCommand:
         assert code == 2 and "unknown config keys" in err
 
     def test_non_integer_thread_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("MAWLAB_THREADS", "two")
-        code, out, err = run_cli(capsys, "verify", "--preset", "random")
-        assert code == 2 and out == "" and err.startswith("error:") and "MAWLAB_THREADS" in err
+        for value in ("two", "0", "-3"):
+            monkeypatch.setenv("MAWLAB_THREADS", value)
+            # Reads the count only: no campaign runs, so no process starts.
+            with pytest.raises(InputError, match="MAWLAB_THREADS"):
+                verify._effective_workers(verify.CampaignConfig())
+            code, out, err = run_cli(capsys, "verify", "--preset", "random")
+            assert code == 2 and out == "" and err.startswith("error:") and "MAWLAB_THREADS" in err, value
 
     def test_non_integer_sigma(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -332,6 +335,8 @@ class TestGenFamilyCommand:
         assert code == 2
         code, _, err = run_cli(capsys, "gen-family", "--family", "Nope", "--d", "3")
         assert code == 2
+        code, out, err = run_cli(capsys, "gen-family", "--family", "BinaryExtremal", "--d", "3", "--alphabet", "")
+        assert (code, out) == (2, "") and "custom alphabet" in err
 
     def test_check_d_without_check_exits_2(self, capsys):
         code, out, err = run_cli(
@@ -439,43 +444,6 @@ def test_line_break_in_text_or_alphabet_exits_2(capsys, argv, source, brk):
     assert err.startswith(f"error: {source} has a line break")
 
 
-# Every container kind, scalars json treats specially, and strings that look
-# like the writer's own separators.
-_JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\[]{},: \n\r\t\x00\x1fé\u2028')), max_size=6)
-_JSON_SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(min_value=-(2**200), max_value=2**200),
-    st.floats(),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324]),
-    _JSON_TEXT,
-    st.sampled_from(list(BoundId)),
-    st.sampled_from(list(MawType)),
-)
-# One key kind per dict: json.dumps sorts the keys, so they must compare.
-_JSON_KEY_KINDS = st.sampled_from([
-    st.one_of(_JSON_TEXT, st.sampled_from(list(BoundId))),
-    st.one_of(st.integers(), st.floats(), st.booleans(), st.sampled_from(list(MawType))),
-    st.none(),
-])
-
-
-def _json_trees(children):
-    return st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        _JSON_KEY_KINDS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
-    )
-
-
-@settings(max_examples=120, deadline=None)
-@given(_json_trees(st.recursive(_JSON_SCALARS, _json_trees, max_leaves=10)))
-@example({"a": [{1: {2.5: [True]}, 2: []}], "b": {False: (), 3: {}}, "c": {None: [{}]}})
-@example([[], {}, [[{}]], {"x": [[], ()]}])
-def test_writer_equals_json_dumps(tree):
-    assert cli._dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
-
-
 def slide_json_reference(text, d, symbols, per_step, argv):
     """``slide --format json`` stdout built the way the payload is defined: every step
     and row as a dict (``DeltaReport.to_payload``), the whole envelope through ``json.dumps``."""
@@ -539,6 +507,7 @@ def slide_cases(draw):
 @given(slide_cases())
 @example(("ab𝄞é\t\x7f𝄞ab{", 3, "ab𝄞é\t\x7f{", True))
 @example(('",\\]{é\t\x7f𝄞', 8, '",\\]{é\t\x7f𝄞', True))
+@example(('é"a{é"a\t{', 3, 'é"a{\t', True))
 def test_slide_json_equals_the_reference_payload(case):
     text, d, symbols, per_step = case
     _, out = assert_slide_json_matches_reference(text, d, symbols, per_step)
@@ -552,13 +521,6 @@ def test_slide_json_with_unsatisfied_verdicts_equals_the_reference(monkeypatch):
     assert code == 3
     assert '"satisfied": false' in out and '"slack": -' in out
     assert '"GeneralAppend": -' in out and '"GeneralDelete": -' in out
-
-
-def test_writer_falls_back_without_the_c_encoder(monkeypatch):
-    tree = {"b": [1, {"c": None}], "a": "é"}
-    monkeypatch.setattr(cli, "c_make_encoder", None)
-    assert cli._dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
-    assert_slide_json_matches_reference('é"a{é"a\t{', 3, 'é"a{\t', True)
 
 
 @pytest.mark.parametrize("symbols", ["ACGT", _SLIDE_SYMBOLS], ids=["dna", "odd"])
@@ -578,18 +540,21 @@ def test_maw_json_and_csv_equal_the_reference_rows(capsys, symbols):
 
 # In code-point order: gen-family --check compares its expected words in symbol order.
 _ODD_SYMBOLS = '",\\]{é'
+_ODD_TEXT = '{],"é\\,]{é"\\'
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ("slide", '{],"é\\,]{é"\\', "--alphabet", _ODD_SYMBOLS, "--window", "4", "--per-step"),
+        ("slide", _ODD_TEXT, "--alphabet", _ODD_SYMBOLS, "--window", "4", "--per-step"),
+        # The echoed path holds the text the writer splices the table at, escaped by json.
+        ("slide", "--file", "TEXTFILE", "--alphabet", _ODD_SYMBOLS, "--window", "4", "--per-step"),
         ("maw", '{],"é\\,]{é"', "--alphabet", _ODD_SYMBOLS),
         ("verify", "--config", "CONFIG"),
         ("gen-family", "--family", "ZGeneral", "--d", "5", "--sigma-w", "4", "--sigma", "6",
          "--alphabet", _ODD_SYMBOLS, "--check"),
     ],
-    ids=["slide", "maw", "verify", "gen-family"],
+    ids=["slide", "slide-file", "maw", "verify", "gen-family"],
 )
 def test_json_output_is_json_dumps_byte_for_byte(capsys, tmp_path, argv):
     cfg = tmp_path / "cfg.json"
@@ -597,7 +562,12 @@ def test_json_output_is_json_dumps_byte_for_byte(capsys, tmp_path, argv):
         "mode": "random", "sigmas": [6], "symbols": _ODD_SYMBOLS, "min_len": 2, "max_len": 8,
         "samples": 6, "workers": 1,
     }))
-    code, out, _ = run_cli(capsys, *(str(cfg) if a == "CONFIG" else a for a in argv), "--format", "json")
+    text_file = tmp_path / 'text\n    "table": []'
+    text_file.write_text(_ODD_TEXT, encoding="utf-8")
+    argv = [{"CONFIG": str(cfg), "TEXTFILE": str(text_file)}.get(a, a) for a in argv] + ["--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
     assert "\\u00e9" in out
+    if "--file" in argv:
+        assert (code, out) == slide_json_reference(_ODD_TEXT, 4, _ODD_SYMBOLS, True, argv)
