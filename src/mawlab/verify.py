@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from itertools import product
@@ -404,7 +405,8 @@ def _start_pool(workers: int):
 
     try:
         return multiprocessing.get_context("fork").Pool(workers)
-    except (OSError, ValueError):
+    except (OSError, ValueError) as exc:
+        print(f"mawlab verify: no pool of {workers} workers ({exc}); running serially", file=sys.stderr)
         return None
 
 

@@ -1,4 +1,7 @@
+import gc
 import random
+import tracemalloc
+import weakref
 from itertools import product
 
 from hypothesis import given, settings
@@ -14,11 +17,12 @@ ABC = Alphabet.of("abc")
 
 def accepts(sam, word):
     """True iff ``word`` is a substring of the subject (empty word included)."""
-    node = sam.states[0]
+    node = 0
     for ch in word:
-        node = node.trans.get(ch)
-        if node is None:
+        k = sam.states[node].find(ch)
+        if k < 0:
             return False
+        node = sam.targets[node][k]
     return True
 
 
@@ -36,7 +40,7 @@ def both_enumerations(s, alphabet):
 
 
 def transition_count(sam):
-    return sum(len(st.trans) for st in sam.states)
+    return sum(map(len, sam.states))
 
 
 class TestAutomaton:
@@ -82,13 +86,38 @@ class TestAutomaton:
                 assert sam.state_count <= 2 * n - 1
                 assert transition_count(sam) <= 3 * n - 4
 
+    def test_dropped_automaton_is_freed_without_the_collector(self):
+        gc.collect()
+        gc.disable()
+        try:
+            sam = SuffixAutomaton("abaababaabaab")
+            sam.extend("babbab")
+            ref = weakref.ref(sam)
+            del sam
+            assert ref() is None
+            assert gc.collect() == 0  # no state was left behind in a reference cycle
+        finally:
+            gc.enable()
+
+    def test_memory_per_state(self):
+        text = "".join(random.Random(11).choices("ACGT", k=20_000))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sam = SuffixAutomaton(text)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / sam.state_count < 200, held / sam.state_count
+
 
 def extension_matches_fresh_build(s, extra, alphabet):
     sam = SuffixAutomaton(s)
     sam.extend(extra)
     fresh = SuffixAutomaton(s + extra)
     assert sam.subject == s + extra
-    assert sam.state_count == fresh.state_count, (s, extra)
+    for column in ("states", "targets", "link", "max_len", "end"):
+        assert getattr(sam, column) == getattr(fresh, column), (s, extra, column)
     assert sorted(sam.maw_words(alphabet)) == sorted(fresh.maw_words(alphabet)), (s, extra)
 
 
@@ -152,3 +181,18 @@ class TestFastEnumerator:
     def test_oracle_equivalence_property(self, s):
         ab = Alphabet.of("ab")
         assert enumerate_maws_fast(s, ab).words == enumerate_maws_naive(s, ab).words
+
+    def test_oracle_equivalence_wide_alphabet(self):
+        # 300 symbols outside Latin-1, some outside the BMP, so out-symbol strings
+        # are two- and four-byte; a hub symbol before every other position gives
+        # states out-degrees in the hundreds.
+        symbols = [chr(0x400 + i) for i in range(260)] + [chr(0x1F300 + i) for i in range(40)]
+        alphabet = Alphabet.of(symbols)
+        rng = random.Random(23)
+        for _ in range(12):
+            n = rng.randint(1, 600)
+            s = "".join(rng.choices(symbols, k=n))
+            if rng.random() < 0.5:
+                s = "".join(symbols[0] + ch for ch in s[: n // 2])
+            fast, slow = both_enumerations(s, alphabet)
+            assert fast == slow, s

@@ -265,3 +265,21 @@ class TestRunner:
         with pytest.raises(ValueError, match="task failed"):
             run_exhaustive(small_exhaustive(max_len=6, workers=2))  # 126 tasks, enough for a pool
         assert parent_calls == []
+
+    def test_pool_failure_falls_back_to_serial_on_stderr(self, monkeypatch, capsys):
+        import multiprocessing
+
+        serial = run_exhaustive(small_exhaustive(max_len=6, workers=1))
+        capsys.readouterr()
+
+        def no_pool(workers):
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=no_pool))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delenv("MAWLAB_THREADS", raising=False)
+        fallback = run_exhaustive(small_exhaustive(max_len=6, workers=2))  # 126 tasks, enough for a pool
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "mawlab verify: no pool of 2 workers (no more processes); running serially\n"
+        assert (fallback.instances, fallback.steps, fallback.bounds) == (serial.instances, serial.steps, serial.bounds)
