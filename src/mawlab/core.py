@@ -93,6 +93,9 @@ class Alphabet:
 def canonical_words(words: Iterable[str]) -> tuple[str, ...]:
     """Sort words by (length, symbol code) -- the package-wide canonical order.
 
-    A stable sort by length of the lexicographically sorted words.
+    A stable sort by length of the lexicographically sorted words, both on
+    one list.
     """
-    return tuple(sorted(sorted(words), key=len))
+    words = sorted(words)
+    words.sort(key=len)
+    return tuple(words)

@@ -24,8 +24,10 @@ literal set differences of two full MAW sets, on an engine name or on a
 ``MawEngine`` and its memo (every campaign).  A slide (``slide_steps`` and
 ``slide_totals`` alike) takes an engine name and reads every step off one
 source of differences: literal ones on ``oracle``, derived ones on
-``automaton``, which builds no automaton and no full MAW set but runs
-``find`` tests bounded to the extended window.
+``automaton``, which builds no automaton and no full MAW set.  A derived
+step is one kernel on the step's (d+1)-gram E alone: its inputs are E, the
+symbols of E and two bounds carried from the step before (below), and it
+runs ``find`` tests on E and on reverse(E), nothing else of the text.
 For W, alpha and E = W + alpha, let L be the length of the longest suffix of
 E that occurs in W (a suffix of an occurring word occurs, so the tests are
 monotone in the length).  The words of E absent from W are exactly the
@@ -47,14 +49,17 @@ suffixes of E longer than L, and each of them occurs in E only at its end.
   of length k - 1.  As W's suffix, u is preceded by E[-(k+1)], so u must
   occur in W once more: it is a repeated suffix of W.  The loop over k stops
   at the first u that is not; no longer suffix is repeated either.
-* Delete side: the same derivation on the text reversed once per slide,
-  for the window reverse(E[1:]) and the appended symbol E[0]; each word is
+* Delete side: the same derivation on the reversed gram reverse(E), whose
+  window is reverse(E[1:]) and whose appended symbol is E[0]; each word is
   reversed back once.
 * Fused size: |MAW(W_i) ^ MAW(W_{i+1})| = |D_app ^ D_del| for the two
   steps' differences D, since (X ^ Y) ^ (Y ^ Z) = X ^ Z.
 
-Each step starts from what the step before it found.  Write E_i =
-T[i : i + d + 1] and W_i = E_i[:-1], so W_{i+1} = E_i[1:].
+Each step starts from what the step before it found: the slide carries an
+upper bound on L, min(L_i + 1, d), and a lower bound on the mirror's L,
+max(L'_i - 1, 0), into the next step's kernel; the first step starts from d
+and 0, which hold for every gram.  Write E_i = T[i : i + d + 1] and
+W_i = E_i[:-1], so W_{i+1} = E_i[1:].
 
 * L_{i+1} <= L_i + 1.  E_{i+1}'s suffix of length m = L_{i+1} occurs in
   W_{i+1} = T[i+1 : i+d+1]; drop the last symbol of that occurrence.  What
@@ -408,20 +413,20 @@ def _append_report(
 
 
 def _delete_report(
-    window: str, gained: Collection[str], removed: Mapping[str, str],
+    window: str, mirror: str, gained: Collection[str], removed: Mapping[str, str],
     sigma_window: int, sigma_ext: int, repeat_len: int,
 ) -> DeltaReport:
-    """Report for deleting ``window[0]``.
+    """Report for deleting ``window[0]``; ``mirror`` is ``window[::-1]``.
 
     ``gained`` is MAW(window[1:]) - MAW(window), and ``removed`` maps each word
     of the reverse difference to its reversal.  The report is the mirror
-    append of ``window[0]`` to the reversed shrunken window, which deletes the
-    reversal of the gained word and adds the reversals of the removed ones:
-    its checks and types are judged on those mirror words, and its sigma
-    counts (of ``window[1:]`` and ``window``) and ``repeat_len`` (of the
-    reversed shrunken window) come from the caller.
+    append of ``window[0]`` to the reversed shrunken window ``mirror[:-1]``,
+    which deletes the reversal of the gained word and adds the reversals of
+    the removed ones: its checks and types are judged on those mirror words,
+    and its sigma counts (of ``window[1:]`` and ``window``) and ``repeat_len``
+    (of the reversed shrunken window) come from the caller.
     """
-    mirror_window = window[:0:-1]
+    mirror_window = mirror[:-1]
     if len(gained) != 1:
         raise _not_one_deleted((w[::-1] for w in gained), mirror_window, window[0])
     gained = tuple(gained)
@@ -482,11 +487,11 @@ def delete_delta(
         raise InputError("delete step needs a window of length >= 2")
     alphabet.require_text(window)
     words = _step_words(engine, alphabet)
-    kept = window[1:]
+    kept, mirror = window[1:], window[::-1]
     before, after = set(words(window)), set(words(kept))
     return _delete_report(
-        window, after - before, {w: w[::-1] for w in before - after},
-        len(set(kept)), len(set(window)), _repeat_len(kept[::-1]),
+        window, mirror, after - before, {w: w[::-1] for w in before - after},
+        len(set(kept)), len(set(window)), _repeat_len(mirror[:-1]),
     )
 
 
@@ -544,18 +549,18 @@ def _sliding_sigmas(text: str, d: int) -> Iterator[tuple[Counter[str], int, int,
             counts[beta] -= 1
 
 
-def _longest_suffix(text: str, start: int, d: int, lo: int, hi: int, upward: bool) -> int:
-    """L for W = ``text[start : start + d]`` and E = ``text[start : start + d + 1]``, known to lie in [lo, hi].
+def _longest_suffix(ext: str, lo: int, hi: int, upward: bool) -> int:
+    """L, the length of the longest suffix of the gram ``ext`` that occurs in ``ext[:-1]``, known to lie in [lo, hi].
 
     Galloping from ``lo`` when ``upward``, else from ``hi``, brackets L, and a
     binary search finds it in the bracket; the module docstring bounds the tests.
     """
-    end = start + d + 1
+    d = len(ext) - 1
     gap = 1
     if upward:
         while lo < hi:
             m = min(lo + gap, hi)
-            if text.find(text[end - m : end], start, end - 1) < 0:
+            if ext.find(ext[-m:], 0, d) < 0:
                 hi = m - 1
                 break
             lo = m
@@ -563,79 +568,88 @@ def _longest_suffix(text: str, start: int, d: int, lo: int, hi: int, upward: boo
     else:
         while lo < hi:
             m = max(hi - gap + 1, lo + 1)
-            if text.find(text[end - m : end], start, end - 1) >= 0:
+            if ext.find(ext[-m:], 0, d) >= 0:
                 lo = m
                 break
             hi = m - 1
             gap += gap
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if text.find(text[end - mid : end], start, end - 1) >= 0:
+        if ext.find(ext[-mid:], 0, d) >= 0:
             lo = mid
         else:
             hi = mid - 1
     return lo
 
 
-def _append_change(text: str, start: int, d: int, symbols: Iterable[str], L: int) -> tuple[str, set[str], int]:
+def _append_change(ext: str, symbols: Iterable[str], L: int) -> tuple[str, set[str], int]:
     """The one word of MAW(W) - MAW(E), MAW(E) - MAW(W), and r, the length of W's longest repeated suffix.
 
-    W is ``text[start : start + d]``, E is W + ``text[start + d]``, ``symbols``
-    are the symbols of E and ``L`` is the length of E's longest suffix that
-    occurs in W.  Every test is a ``find`` bounded to E; the module docstring
-    derives the rules.
+    E is the gram ``ext`` and W = E[:-1]; ``symbols`` are the symbols of E and
+    ``L`` is the length of E's longest suffix that occurs in W.  Every test is
+    a ``find`` on E; the module docstring derives the rules.
     """
-    end = start + d + 1
-    deleted = text[end - L - 1 : end]
-    stem = text[end - L : end]
-    added = {deleted + b for b in symbols if text.find(stem + b, start, end) >= 0}
+    d = len(ext) - 1
+    deleted = ext[d - L :]
+    stem = ext[d + 1 - L :]
+    added = {deleted + b for b in symbols if ext.find(stem + b) >= 0}
     for k in range(L + 1, d + 1):
-        u = text[end - k : end - 1]  # W's suffix of length k - 1
-        if k >= 2 and text.find(u, start, end - 2) < 0:
+        u = ext[d + 1 - k : d]  # W's suffix of length k - 1
+        if k >= 2 and ext.find(u, 0, d - 1) < 0:
             return deleted, added, k - 2  # u is not a repeated suffix of W, and no longer suffix is
-        tail = text[end - k : end]
-        before = text[end - k - 1]
+        tail = ext[d + 1 - k :]
+        before = ext[d - k]
         for a in symbols:
-            if a != before and text.find(a + u, start, end - 1) >= 0:
+            if a != before and ext.find(a + u, 0, d) >= 0:
                 added.add(a + tail)
     return deleted, added, d - 1
 
 
+def _derived_step(ext: str, symbols: Iterable[str], L_hi: int, mirror_lo: int) -> tuple:
+    """Both directions of the step whose (d+1)-gram is ``ext``, from ``find`` tests on the gram and its reversal.
+
+    ``symbols`` are the symbols of ``ext``.  L, the length of the longest
+    suffix of ``ext`` that occurs in ``ext[:-1]``, is known to be at most
+    ``L_hi``, and the mirror's L, the same length for ``ext[::-1]``, at least
+    ``mirror_lo``; d and 0 hold for every gram.  Returns ``ext[::-1]``, the
+    six differences and r values that :func:`_step_differences` yields, and
+    the two L values found.
+    """
+    d = len(ext) - 1
+    mirror = ext[::-1]
+    L = _longest_suffix(ext, 0, L_hi, False)
+    gone, new, r = _append_change(ext, symbols, L)
+    mirror_L = _longest_suffix(mirror, mirror_lo, d, True)
+    mirror_gone, mirror_new, mirror_r = _append_change(mirror, symbols, mirror_L)
+    return mirror, (gone,), new, r, (mirror_gone[::-1],), {w[::-1]: w for w in mirror_new}, mirror_r, L, mirror_L
+
+
 def _step_differences(text: str, d: int, words: Callable[[str], tuple[str, ...]] | None) -> Iterator[tuple]:
-    """Per step i, with W_i = ``text[i : i + d]``, E_i = W_i + ``text[i + d]`` and W_{i+1} = E_i[1:]:
+    """Per step i, with E_i = ``text[i : i + d + 1]``, W_i = E_i[:-1] and W_{i+1} = E_i[1:]:
 
-    MAW(W_i) - MAW(E_i), MAW(E_i) - MAW(W_i), r(W_i), MAW(W_{i+1}) - MAW(E_i),
-    MAW(E_i) - MAW(W_{i+1}) as a dict from each word to its reversal,
-    r(reverse W_{i+1}), sigma(W_i), sigma(E_i) and sigma(W_{i+1}); r is the
-    length of a window's longest repeated suffix.
+    E_i, its reversal, MAW(W_i) - MAW(E_i), MAW(E_i) - MAW(W_i), r(W_i),
+    MAW(W_{i+1}) - MAW(E_i), MAW(E_i) - MAW(W_{i+1}) as a dict from each word
+    to its reversal, r(reverse W_{i+1}), sigma(W_i), sigma(E_i) and
+    sigma(W_{i+1}); r is the length of a window's longest repeated suffix.
 
-    Without ``words`` they are derived with :func:`_append_change`, each
-    direction's L starting from the step before, and the delete side from the
-    mirror append on the reversed text; with it they are literal differences
-    of the sets it enumerates.
+    Without ``words`` the differences are derived by :func:`_derived_step`
+    on E_i alone, each direction's L bounded by the step before; with it they
+    are literal differences of the sets it enumerates.
     """
     sigmas = _sliding_sigmas(text, d)
     if words is None:
-        n = len(text)
-        mirror = text[::-1]
         L, mirror_L = d, 0
-        for i, (symbols, sigma_w, sigma_e, sigma_next) in enumerate(sigmas):
-            L = _longest_suffix(text, i, d, 0, min(L + 1, d), False)
-            gone, new, r = _append_change(text, i, d, symbols, L)
-            j = n - 1 - i - d
-            mirror_L = _longest_suffix(mirror, j, d, max(mirror_L - 1, 0), d, True)
-            mirror_gone, mirror_new, mirror_r = _append_change(mirror, j, d, symbols, mirror_L)
-            yield (
-                (gone,), new, r, (mirror_gone[::-1],), {w[::-1]: w for w in mirror_new}, mirror_r,
-                sigma_w, sigma_e, sigma_next,
-            )
+        for i, (symbols, *sigma) in enumerate(sigmas):
+            ext = text[i : i + d + 1]
+            *differences, L, mirror_L = _derived_step(ext, symbols, min(L + 1, d), max(mirror_L - 1, 0))
+            yield ext, *differences, *sigma
         return
     cur = set(words(text[:d]))
     for i, (_, sigma_w, sigma_e, sigma_next) in enumerate(sigmas):
         ext = text[i : i + d + 1]
         ext_words, nxt = set(words(ext)), set(words(ext[1:]))
         yield (
-            cur - ext_words, ext_words - cur, _repeat_len(ext[:-1]),
+            ext, ext[::-1], cur - ext_words, ext_words - cur, _repeat_len(ext[:-1]),
             nxt - ext_words, {w: w[::-1] for w in ext_words - nxt}, _repeat_len(ext[:0:-1]),
             sigma_w, sigma_e, sigma_next,
         )
@@ -660,7 +674,7 @@ def slide_totals(
     """
     sizes = []
     sigma_max = 0
-    for gone, new, _, gained, removed, _, sigma_w, _, sigma_next in _step_differences(
+    for _, _, gone, new, _, gained, removed, _, sigma_w, _, sigma_next in _step_differences(
         text, d, _slide_source(text, d, alphabet, engine)
     ):
         sizes.append(_fused_size(gone, new, gained, removed))
@@ -688,12 +702,10 @@ def slide_steps(
 def _slide_reports(
     text: str, d: int, words: Callable[[str], tuple[str, ...]] | None
 ) -> Iterator[tuple[int, DeltaReport, DeltaReport]]:
-    for i, (gone, new, r, gained, removed, mirror_r, sigma_w, sigma_e, sigma_next) in enumerate(
-        _step_differences(text, d, words)
-    ):
-        ext = text[i : i + d + 1]
+    steps = _step_differences(text, d, words)
+    for ext, mirror, gone, new, r, gained, removed, mirror_r, sigma_w, sigma_e, sigma_next in steps:
         yield (
             _fused_size(gone, new, gained, removed),
             _append_report(ext[:-1], ext[-1], gone, new, sigma_w, sigma_e, r),
-            _delete_report(ext, gained, removed, sigma_next, sigma_e, mirror_r),
+            _delete_report(ext, mirror, gained, removed, sigma_next, sigma_e, mirror_r),
         )

@@ -399,10 +399,14 @@ def test_consistency_error_stays_a_traceback(capsys, monkeypatch):
 
 
 def test_console_script_wiring():
+    # The child imports the package these tests import, also when only pytest's pythonpath found it.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "mawlab.cli", "maw", "abaab", "--alphabet", "abc"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert set(proc.stdout.strip().split(",")) == {"aaa", "aaba", "bab", "bb", "c"}

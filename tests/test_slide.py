@@ -396,28 +396,34 @@ def test_derived_walk_matches_oracle_walk(text, d, symbols):
 
 
 class FindLog:
-    """``find`` calls per (direction, window start, phase); the phase is "L" inside the search for L."""
+    """``find`` calls per (step, direction, phase).
+
+    The phase is "L" inside the search for L; outside it, "A" for a test on
+    the whole gram (the (A) tests) and "B" for one bounded to the window (the
+    repeat and (B) tests).
+    """
 
     def __init__(self):
         self.calls = Counter()
-        self.phase = "AB"
+        self.step, self.phase = -1, None
 
 
-class CountingText(str):
-    """A text that logs the ``find`` calls made on it, and on its reversal, in a :class:`FindLog`."""
+class CountingGram(str):
+    """A gram that logs the ``find`` calls made on it, and on its reversal, in a :class:`FindLog`."""
 
-    def __new__(cls, text, log, direction="forward"):
-        self = super().__new__(cls, text)
+    def __new__(cls, gram, log, direction="forward"):
+        self = super().__new__(cls, gram)
         self.log, self.direction = log, direction
         return self
 
-    def find(self, sub, start, end):
-        self.log.calls[self.direction, start, self.log.phase] += 1
+    def find(self, sub, start=None, end=None):
+        phase = self.log.phase or ("A" if end is None else "B")
+        self.log.calls[self.log.step, self.direction, phase] += 1
         return str.find(self, sub, start, end)
 
     def __getitem__(self, key):
         if key == slice(None, None, -1):
-            return CountingText(str(self)[::-1], self.log, "mirror")
+            return CountingGram(str(self)[::-1], self.log, "mirror")
         return str.__getitem__(self, key)
 
 
@@ -457,34 +463,67 @@ def test_derivation_find_calls_within_the_cost_bound(monkeypatch, text, d):
     # plus the repeat test that stops the loop.  Over the slide, L costs
     # O((n - d) + log d) tests per direction.
     log = FindLog()
-    search = slide._longest_suffix
+    search, step = slide._longest_suffix, slide._derived_step
 
     def counted_search(*args):
         log.phase = "L"
         try:
             return search(*args)
         finally:
-            log.phase = "AB"
+            log.phase = None
+
+    def counted_step(ext, *args):
+        log.step += 1
+        return step(CountingGram(ext, log), *args)
 
     monkeypatch.setattr(slide, "_longest_suffix", counted_search)
+    monkeypatch.setattr(slide, "_derived_step", counted_step)
     n, steps = len(text), len(text) - d
-    assert len(list(slide._step_differences(CountingText(text, log), d, None))) == steps
+    assert len(list(slide._step_differences(text, d, None))) == steps
+    assert log.step == steps - 1
     per_step_l = 2 * math.ceil(math.log2(d + 1))
     totals = Counter()
     for i in range(steps):
         ext = text[i : i + d + 1]
         sigma = len(set(ext))
-        rev_ext = ext[::-1]
-        for direction, start, e in (("forward", i, ext), ("mirror", n - 1 - i - d, rev_ext)):
+        for direction, e in (("forward", ext), ("mirror", ext[::-1])):
             L, r = longest_suffix_in(e, e[:-1]), repeat_len(e[:-1])
-            l_tests, other = log.calls[direction, start, "L"], log.calls[direction, start, "AB"]
+            l_tests, a_tests, b_tests = (log.calls[i, direction, phase] for phase in "LAB")
+            assert l_tests >= 1 and a_tests >= 1, (direction, i)  # the counts see every step
             assert l_tests <= per_step_l, (direction, i)
-            assert other <= sigma + max(0, r - L + 1) * (sigma + 1) + 1, (direction, i)
+            assert a_tests + b_tests <= sigma + max(0, r - L + 1) * (sigma + 1) + 1, (direction, i)
             totals[direction] += l_tests
     for direction in ("forward", "mirror"):
         # The general bound of the module docstring, and its O((n - d) + log d) form here.
         assert totals[direction] <= steps + 2 * steps * math.log2(1 + (n - 1) / steps), direction
         assert totals[direction] <= 3 * steps + 2 * math.ceil(math.log2(d + 1)), direction
+
+
+def restricted_growth_grams(length):
+    """Every string of ``length`` symbols from ``LETTERS`` whose new symbols appear in alphabetical order."""
+    grams = [""]
+    for _ in range(length):
+        grams = [g + c for g in grams for c in LETTERS[: len(set(g)) + 1]]
+    return grams
+
+
+def test_derived_step_matches_oracle_on_every_gram_up_to_renaming():
+    # Every (d+1)-gram for d <= 7 up to a renaming of its symbols (5294 grams,
+    # every alphabet at once), with nothing known about L: both directions'
+    # differences and r equal the oracle's single-step reports.
+    alphabet = Alphabet.of(LETTERS[:8])
+    grams = [g for d in range(1, 8) for g in restricted_growth_grams(d + 1)]
+    assert len(grams) == 5294
+    for ext in grams:
+        d = len(ext) - 1
+        mirror, gone, new, r, gained, removed, mirror_r, L, mirror_L = slide._derived_step(ext, set(ext), d, 0)
+        assert mirror == ext[::-1]
+        assert (L, mirror_L) == (longest_suffix_in(ext, ext[:-1]), longest_suffix_in(mirror, mirror[:-1])), ext
+        ap = append_delta(ext[:-1], ext[-1], alphabet, "oracle")
+        de = delete_delta(ext, alphabet, "oracle")
+        assert (set(gone), new, r) == (set(ap.deleted), set(ap.added), ap.repeat_len), ext
+        assert (set(gained), set(removed), mirror_r) == (set(de.added), set(de.deleted), de.repeat_len), ext
+        assert all(removed[w] == w[::-1] for w in removed), ext
 
 
 def carried_cases():
@@ -511,8 +550,8 @@ def test_carried_facts_match_their_definitions(text, d, symbols):
     sigma = alphabet.size
     steps = list(slide._step_differences(text, d, None))
     assert len(steps) == len(text) - d
-    for i, (gone, _, r, gained, _, mirror_r, sigma_w, sigma_e, sigma_next) in enumerate(steps):
-        ext = text[i : i + d + 1]
+    for i, (ext, mirror, gone, _, r, gained, _, mirror_r, sigma_w, sigma_e, sigma_next) in enumerate(steps):
+        assert (ext, mirror) == (text[i : i + d + 1], text[i : i + d + 1][::-1]), i
         window, nxt = ext[:-1], ext[1:]
         # The deleted word of each direction is E's suffix of length L + 1.
         assert len(gone[0]) - 1 == longest_suffix_in(ext, window), i
