@@ -274,7 +274,6 @@ _FAMILIES: dict[str, tuple[Callable[..., FamilyInstance], tuple[str, ...], bool]
     "TotalDistinctFamily": (gen_total_distinct, ("n", "d", "sigma"), True),
     "AlternatingBinary": (gen_alternating, ("n",), False),
 }
-FAMILY_IDS = tuple(_FAMILIES)
 
 _ALIASES = {
     "TotalSigma": "TotalSigmaFamily",

@@ -1,4 +1,4 @@
-"""Exhaustive, randomized, and family-driven verification campaigns.
+"""Exhaustive and randomized verification campaigns.
 
 A campaign walks a space of (window, appended-symbol) steps, evaluates every
 applicable bound verdict, asserts the structural step invariants, optionally
@@ -33,11 +33,11 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from itertools import product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .core import Alphabet, ConsistencyError, InputError, TheoremViolationError, canonical_words
 from .bounds import BoundId, check_step
-from .families import default_symbols, gen_binary_extremal, gen_unary_v, gen_Z, measure
+from .families import default_symbols
 from .slide import DeltaReport, MawEngine, MawType, append_delta, delete_delta
 
 _ENGINES = ("oracle", "automaton", "both")
@@ -168,28 +168,8 @@ class _TaskResult:
 
 
 @dataclass(frozen=True)
-class TightnessScanConfig:
-    """The grid a tightness scan ran over: window lengths, extended-window sigmas and engine.
-
-    Grid cells with no extremal family (sigma' < 2, or sigma' - 1 > d) have no row.
-    """
-
-    d_values: tuple[int, ...]
-    sigma_ext_values: tuple[int, ...]
-    engine: str
-
-    def to_payload(self) -> dict:
-        return {
-            "mode": "tightness",
-            "d_values": list(self.d_values),
-            "sigma_ext_values": list(self.sigma_ext_values),
-            "engine": self.engine,
-        }
-
-
-@dataclass(frozen=True)
 class CampaignReport:
-    config: CampaignConfig | TightnessScanConfig
+    config: CampaignConfig
     instances: int
     steps: int
     bounds: dict
@@ -457,12 +437,20 @@ def _exhaustive_tasks(config: CampaignConfig) -> Iterator[tuple[str, str, bool]]
 
 
 def estimate_steps(config: CampaignConfig) -> int:
-    """Planned number of slide-step evaluations (budget accounting)."""
+    """Planned number of slide-step evaluations (budget accounting).
+
+    Exact for an exhaustive campaign that raises no theorem or consistency
+    error, and 0 for ``checks: "enum-only"``.  For a random campaign it is an
+    upper bound, exact when ``min_len >= 2``: a subject shorter than 2 runs no
+    step.
+    """
+    if config.checks == "enum-only":
+        return 0
     if config.mode == "random":
         return config.samples * (2 if config.deletes else 1)
     total = 0
     for sigma in config.sigmas:
-        for n in range(config.min_len, config.max_len + 1):
+        for n in range(max(1, config.min_len), config.max_len + 1):
             strings = sigma**n
             total += strings * sigma
             if config.deletes and n >= 2:
@@ -499,64 +487,6 @@ def run_random(config: CampaignConfig) -> CampaignReport:
         subject = "".join(rng.choices(symbols, k=n))
         tasks.append((symbols, subject, False))
     return _execute(tasks, config)
-
-
-def tightness_scan(
-    d_range: Iterable[int],
-    sigma_range: Iterable[int],
-    engine: str = "automaton",
-) -> CampaignReport:
-    """Measure the published extremal family at each (d, extended-window sigma).
-
-    Two-symbol rows use the binary family and rows with sigma' >= 3 the
-    fresh-symbol window family; each must land exactly on the bound it
-    carries as ``expected_delta``.  Any slack is recorded as a falsification.
-    """
-    started = time.perf_counter()
-    config = TightnessScanConfig(tuple(sorted(set(d_range))), tuple(sorted(set(sigma_range))), engine)
-    rows: list[dict] = []
-    falsifications: list[dict] = []
-    for d in config.d_values:
-        for sigma_ext in config.sigma_ext_values:
-            sigma_w = sigma_ext - 1
-            if sigma_ext == 2:
-                inst = gen_unary_v(d) if d <= 2 else gen_binary_extremal(d)
-            elif 2 <= sigma_w <= d:
-                inst = gen_Z(d, sigma_w, sigma_ext)
-            else:
-                continue
-            max_delta = measure(inst, engine)["observed_delta"]
-            slack = inst.expected_delta - max_delta
-            witness = f"{inst.window}+{inst.append_symbol}"
-            rows.append(
-                {
-                    "d": d,
-                    "sigma_ext": sigma_ext,
-                    "family_id": inst.family_id,
-                    "max_delta": max_delta,
-                    "bound": inst.expected_delta,
-                    "slack": slack,
-                    "witness": witness,
-                }
-            )
-            if slack != 0:
-                falsifications.append(
-                    {
-                        "kind": "tightness",
-                        "witness": witness,
-                        "detail": f"family {inst.family_id} missed the bound by {slack}",
-                    }
-                )
-    return CampaignReport(
-        config=config,
-        instances=len(rows),
-        steps=len(rows),
-        bounds={},
-        tightness=tuple(rows),
-        falsifications=tuple(falsifications),
-        engine_mismatches=(),
-        wall_clock=time.perf_counter() - started,
-    )
 
 
 PRESETS: dict[str, CampaignConfig] = {

@@ -6,14 +6,16 @@ import pytest
 
 from mawlab import slide, verify
 from mawlab.automaton import SuffixAutomaton
+from mawlab.bounds import BoundId, check_step
 from mawlab.cli import main
 from mawlab.core import InputError
+from mawlab.families import measure
+from mawlab.slide import append_delta
 from mawlab.verify import (
     CampaignConfig,
     estimate_steps,
     run_exhaustive,
     run_random,
-    tightness_scan,
 )
 
 
@@ -82,6 +84,17 @@ class TestExhaustive:
         cfg = CampaignConfig(mode="exhaustive", sigmas=(2,), min_len=2, max_len=2, deletes=True)
         assert estimate_steps(cfg) == 4 * 2 + 4
 
+    @pytest.mark.parametrize("checks", ["full", "enum-only"])
+    @pytest.mark.parametrize("deletes", [True, False])
+    def test_estimate_is_exact(self, deletes, checks):
+        for sigmas in ((1,), (2,), (3,), (2, 3)):
+            for min_len in (0, 1, 2):
+                cfg = CampaignConfig(
+                    mode="exhaustive", sigmas=sigmas, min_len=min_len, max_len=4,
+                    engine="automaton", deletes=deletes, checks=checks, workers=1,
+                )
+                assert estimate_steps(cfg) == run_exhaustive(cfg).steps, (sigmas, min_len)
+
     def test_weakened_bound_is_caught_with_minimal_witness(self):
         report = run_exhaustive(small_exhaustive(max_len=5, weaken="BinarySmallD"))
         assert not report.ok
@@ -132,6 +145,28 @@ class TestRandom:
         report = run_random(cfg)
         assert report.ok and report.steps == 0 and report.instances == 40
 
+    def test_enum_only_estimate_is_zero(self):
+        for sigmas, min_len in (((2,), 1), ((2, 4, 26), 2), ((3,), 0)):
+            cfg = CampaignConfig(
+                mode="random", sigmas=sigmas, min_len=min_len, max_len=12, samples=300, seed=7,
+                engine="automaton", checks="enum-only", budget=1,
+            )
+            report = run_random(cfg)  # no step, so a budget of 1 suffices
+            assert estimate_steps(cfg) == report.steps == 0 and report.instances == 300
+
+    @pytest.mark.parametrize("deletes", [True, False])
+    def test_estimate_bounds_steps_and_is_exact_from_length_two(self, deletes):
+        for min_len in (0, 1, 2, 3):
+            cfg = CampaignConfig(
+                mode="random", sigmas=(2, 3), min_len=min_len, max_len=6, samples=200, seed=11,
+                engine="automaton", deletes=deletes,
+            )
+            steps = run_random(cfg).steps
+            if min_len >= 2:
+                assert estimate_steps(cfg) == steps, min_len
+            else:
+                assert steps < estimate_steps(cfg), min_len
+
     def test_timing_only_with_flag(self):
         cfg = CampaignConfig(mode="random", sigmas=(2,), samples=5, max_len=10, seed=0)
         report = run_random(cfg)
@@ -140,36 +175,36 @@ class TestRandom:
 
 
 class TestTightnessScan:
-    def test_all_claimed_rows_are_tight(self):
-        report = tightness_scan(range(1, 13), range(2, 8))
-        assert report.ok
-        for row in report.tightness:
-            assert row["slack"] == 0, row
+    """The published families, one per (d, sigma_ext) cell, checked with ``families.measure``."""
 
-    def test_binary_rows_match_max3d(self):
-        report = tightness_scan(range(1, 10), [2])
-        for row in report.tightness:
-            assert row["max_delta"] == max(3, row["d"])
+    def test_all_claimed_rows_are_tight(self, family_cells):
+        for (d, sigma_ext), inst in family_cells.items():
+            result = measure(inst)
+            assert result["ok"] and result["observed_delta"] == inst.expected_delta, result
+            # The family meets the bound it witnesses with zero slack, and every other bound holds.
+            report = append_delta(inst.window, inst.append_symbol, inst.alphabet)
+            verdicts = {v.bound_id: v for v in check_step(report, len(inst.alphabet.symbols))}
+            if sigma_ext >= 3:
+                claimed = BoundId.GENERAL_APPEND
+            else:
+                claimed = BoundId.BINARY_APPEND if d >= 3 else BoundId.BINARY_SMALL_D
+            assert verdicts[claimed].slack == 0, ((d, sigma_ext), verdicts[claimed])
+            assert all(v.satisfied for v in verdicts.values()), (d, sigma_ext)
 
-    def test_config_names_the_scanned_grid(self):
-        report = tightness_scan(range(1, 4), range(2, 4), "oracle")
-        assert report.to_payload()["config"] == {
-            "mode": "tightness",
-            "d_values": [1, 2, 3],
-            "sigma_ext_values": [2, 3],
-            "engine": "oracle",
-        }
-        assert report.tightness == tightness_scan(range(1, 4), range(2, 4)).tightness
-        assert {(row["d"], row["sigma_ext"]) for row in report.tightness} == {
-            (1, 2), (2, 2), (2, 3), (3, 2), (3, 3)
-        }
+    def test_binary_rows_match_max3d(self, family_cells):
+        for d in range(1, 13):
+            assert measure(family_cells[d, 2])["observed_delta"] == max(3, d)
 
-    def test_scan_matches_exhaustive_maxima(self):
-        sweep = run_exhaustive(small_exhaustive(max_len=7, engine="automaton"))
-        scan = tightness_scan(range(1, 8), [2])
-        scan_by_d = {row["d"]: row["max_delta"] for row in scan.tightness}
-        for d in range(1, 8):
-            assert sweep.max_delta(d) == scan_by_d[d]
+    def test_scan_matches_exhaustive_maxima(self, family_cells):
+        for sigma, max_len in ((2, 7), (3, 7), (4, 6)):
+            sweep = run_exhaustive(
+                small_exhaustive(sigmas=(sigma,), max_len=max_len, engine="automaton", workers=1)
+            )
+            maxima = {(row["d"], row["sigma_ext"]): row["max_delta"] for row in sweep.tightness}
+            reach = [cell for cell in family_cells if cell[0] <= max_len and cell[1] <= sigma]
+            assert reach and set(reach) <= set(maxima), sigma
+            for cell in reach:
+                assert measure(family_cells[cell])["observed_delta"] == maxima[cell], (sigma, cell)
 
 
 def corrupt_oracle(monkeypatch, target=None):
