@@ -3,7 +3,8 @@
 Every bound is an upper bound on an observed count; a verdict is satisfied
 when observed <= bound.  ``check_step`` emits a verdict for each bound whose
 hypotheses a step meets; an unsatisfied verdict is data for the verification
-harness, never an exception.
+harness, never an exception.  It reads a report only through
+``verdict_inputs``, so reports with equal inputs get equal verdicts.
 
 Identifiers are a stable API and appear verbatim in JSON/CSV reports.
 """
@@ -94,46 +95,65 @@ def bound_total(n: int, d: int, sigma: int) -> int:
     return 2 * (n - d) * (min(d, sigma) + d + 1)
 
 
+def verdict_inputs(report: DeltaReport) -> tuple[str, int, int, int, int, int, int, tuple[int, int, int]]:
+    """Everything :func:`check_step` reads of ``report``.
+
+    ``(direction, d, delta, sigma_window, sigma_ext, repeat_len, ext_len,
+    (m1, m2, m3))``, with delta = |deleted| + |added| and the type counts.
+    Reports with equal inputs get equal verdicts for one global sigma, so a
+    caller may key verdicts on this tuple.
+    """
+    return (
+        report.direction,
+        report.d,
+        report.delta_size,
+        report.sigma_window,
+        report.sigma_ext,
+        report.repeat_len,
+        report.ext_len,
+        report.type_counts,
+    )
+
+
 def check_step(report: DeltaReport, sigma_global: int) -> tuple[BoundVerdict, ...]:
-    """Verdicts for every bound whose hypotheses ``report`` satisfies.
+    """Verdicts for every bound whose hypotheses ``report`` satisfies; reads only :func:`verdict_inputs`.
 
     Gating: OccurringAppend and M12Collide need the appended character to
     occur in the window (and d >= 3 for the latter); the binary-regime bounds
     need the extended window to use at most two distinct symbols, the sharper
     ones exactly two and d >= 3.
     """
-    d = report.d
-    delta = report.delta_size
+    direction, d, delta, sigma_window, sigma_ext, repeat_len, ext_len, (m1, m2, m3) = verdict_inputs(report)
     # A delete takes the append formulas, every input measured on its mirror append.
-    general = bound_general_append(d, report.sigma_window)
-    prior = bound_prior_append(report.repeat_len, report.ext_len, sigma_global)
-    if report.direction == "delete":
+    general = bound_general_append(d, sigma_window)
+    prior = bound_prior_append(repeat_len, ext_len, sigma_global)
+    if direction == "delete":
         return (
             BoundVerdict(BoundId.GENERAL_DELETE, general, delta),
             BoundVerdict(BoundId.PRIOR_CROCHEMORE_DELETE, prior, delta),
         )
 
-    m1, m2, m3 = report.type_counts
+    alpha_occurs = sigma_window == sigma_ext  # as DeltaReport.alpha_occurs
     verdicts = [
         BoundVerdict(BoundId.GENERAL_APPEND, general, delta),
         BoundVerdict(BoundId.PRIOR_CROCHEMORE_APPEND, prior, delta),
     ]
-    if report.alpha_occurs:
-        verdicts.append(BoundVerdict(BoundId.OCCURRING_APPEND, bound_occurring_append(d, report.sigma_ext), delta))
+    if alpha_occurs:
+        verdicts.append(BoundVerdict(BoundId.OCCURRING_APPEND, bound_occurring_append(d, sigma_ext), delta))
     verdicts.append(BoundVerdict(BoundId.TYPE1_CAP, 1, m1))
-    verdicts.append(BoundVerdict(BoundId.TYPE2_CAP, report.sigma_window, m2))
+    verdicts.append(BoundVerdict(BoundId.TYPE2_CAP, sigma_window, m2))
     verdicts.append(BoundVerdict(BoundId.TYPE3_CAP, d - 1, m3))
-    if report.alpha_occurs and d >= 3:
-        verdicts.append(BoundVerdict(BoundId.M12_COLLIDE, report.sigma_window, m1 + m2))
-    if report.sigma_ext <= 2:
+    if alpha_occurs and d >= 3:
+        verdicts.append(BoundVerdict(BoundId.M12_COLLIDE, sigma_window, m1 + m2))
+    if sigma_ext <= 2:
         if d >= 3:
             verdicts.append(BoundVerdict(BoundId.BINARY_APPEND, bound_binary_append(d), delta))
         else:
             verdicts.append(BoundVerdict(BoundId.BINARY_SMALL_D, 3, delta))
-    if report.sigma_ext == 2 and d >= 3:
+    if sigma_ext == 2 and d >= 3:
         verdicts.append(BoundVerdict(BoundId.TYPE3_CAP_BINARY, d - 2, m3))
         verdicts.append(BoundVerdict(BoundId.M123_BINARY_CAP, d - 1, m1 + m2 + m3))
-        if report.alpha_occurs:
+        if alpha_occurs:
             verdicts.append(BoundVerdict(BoundId.M12_BINARY_COLLIDE, 2, m1 + m2))
     return tuple(verdicts)
 

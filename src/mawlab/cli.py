@@ -23,6 +23,16 @@ rendered items sit in an ``_Items`` list, which goes into ``json.dumps`` as
 to stdout unjoined.  ``DeltaReport.to_payload`` remains the schema of a
 step's report: the tests compare the rendered text with ``json.dumps`` of the
 payloads built from it.
+
+A step's verdicts depend on its two reports only through
+``bounds.verdict_inputs``, and few pairs of those occur: the 992 steps of a
+seeded 1000-symbol a-z text at d = 8 have 113 distinct pairs (their 1984
+reports have 88 distinct inputs).  So ``slide`` keeps, for one slide, a
+memo from the pair to the step's all-satisfied flag, its row with the step
+index and fused delta left open, and for ``--per-step`` json its two
+rendered verdict lists, which every step with that pair shares as pieces.
+``check_step`` runs twice per distinct pair.  The memo stops growing at
+``_MEMO_ENTRIES`` pairs; a step past that gets fresh verdicts.
 """
 
 from __future__ import annotations
@@ -39,9 +49,9 @@ from operator import itemgetter
 
 from . import __version__
 from .core import Alphabet, InputError, TheoremViolationError
-from .bounds import BoundId, BoundVerdict, check_step, total_verdicts
+from .bounds import BoundId, BoundVerdict, check_step, total_verdicts, verdict_inputs
 from .families import generate, measure
-from .slide import _ENUMERATORS, DeltaReport, MawType, SlideSummary, slide_steps
+from .slide import _ENUMERATORS, _TYPE1, _TYPE2, _TYPE3, DeltaReport, MawType, SlideSummary, slide_steps
 from .verify import PRESETS, CampaignConfig, run_exhaustive, run_random
 
 EXIT_OK = 0
@@ -63,6 +73,9 @@ _SLIDE_COLUMNS = [
     *BoundId,
 ]
 _BOUND_CELL = {bound: _SLIDE_COLUMNS.index(bound) for bound in BoundId}
+_STEP_CELL, _DELTA_CELL = _SLIDE_COLUMNS.index("step_index"), _SLIDE_COLUMNS.index("delta")
+# Most distinct step signatures one slide's verdict memo keeps; a step past it gets fresh verdicts.
+_MEMO_ENTRIES = 4096
 
 
 def _indents(depth: int) -> tuple[str, str, str]:
@@ -124,7 +137,7 @@ _BOOL = ("false", "true")
 _BOUND_TEXT = {bound: encode_basestring_ascii(bound) for bound in BoundId}
 _VERDICT = _dict_template(["bound", "bound_id", "observed", "satisfied", "slack"], 6)
 _BY_TYPE = _dict_template([t.label for t in MawType], 5)
-# A report's values but its verdicts go into one template; the verdicts follow it as pieces.
+# A report's values but its verdicts go into one template; its rendered verdict list follows as one piece.
 _REPORT_HEAD, _REPORT_CLOSE = _dict_template(
     [
         "added", "added_by_type", "after", "before", "d", "deleted", "delta", "direction",
@@ -148,9 +161,23 @@ def _strings_text(words: tuple[str, ...], level: tuple[str, str, str]) -> str:
     return f"[{first}{sep.join(map(encode_basestring_ascii, words))}{close}]"
 
 
-def _render_report(report: DeltaReport, verdicts: tuple[BoundVerdict, ...], out: list[str]) -> None:
-    """Append the text of ``report.to_payload(verdicts)`` at depth 4: one piece for every
-    value but the verdicts, then one per verdict and separator."""
+def _verdicts_text(verdicts: tuple[BoundVerdict, ...]) -> str:
+    """The text of ``[v.to_payload() for v in verdicts]`` at depth 5."""
+    if not verdicts:
+        return "[]"
+    first, sep, close = _D5
+    items = sep.join(
+        [
+            _VERDICT % (bound, _BOUND_TEXT[bound_id], observed, _BOOL[observed <= bound], bound - observed)
+            for bound_id, bound, observed in verdicts
+        ]
+    )
+    return f"[{first}{items}{close}]"
+
+
+def _render_report(report: DeltaReport, verdicts_text: str, out: list[str]) -> None:
+    """Append the text of ``report.to_payload(verdicts)`` at depth 4, given ``_verdicts_text(verdicts)``:
+    one piece for every value but the verdicts, then ``verdicts_text`` as given, then the close."""
     by_type = report.added_by_type
     witness = report.injection_witness
     if witness:
@@ -159,15 +186,15 @@ def _render_report(report: DeltaReport, verdicts: tuple[BoundVerdict, ...], out:
         witness_text = f"{{{first}{pairs}{close}}}"
     else:
         witness_text = "{}"
-    out.append(
+    out += (
         _REPORT_HEAD
         % (
             _strings_text(report.added, _D5),
             _BY_TYPE
             % (
-                _strings_text(by_type[MawType.TYPE1], _D6),
-                _strings_text(by_type[MawType.TYPE2], _D6),
-                _strings_text(by_type[MawType.TYPE3], _D6),
+                _strings_text(by_type[_TYPE1], _D6),
+                _strings_text(by_type[_TYPE2], _D6),
+                _strings_text(by_type[_TYPE3], _D6),
             ),
             encode_basestring_ascii(report.after),
             encode_basestring_ascii(report.before),
@@ -178,18 +205,10 @@ def _render_report(report: DeltaReport, verdicts: tuple[BoundVerdict, ...], out:
             witness_text,
             report.sigma_ext,
             report.sigma_window,
-        )
+        ),
+        verdicts_text,
+        _REPORT_CLOSE,
     )
-    if verdicts:
-        lead, sep, close = _D5
-        out.append("[")
-        for bound_id, bound, observed in verdicts:
-            out += (lead, _VERDICT % (bound, _BOUND_TEXT[bound_id], observed, _BOOL[observed <= bound], bound - observed))
-            lead = sep
-        out += (close, "]")
-    else:
-        out.append("[]")
-    out.append(_REPORT_CLOSE)
 
 
 def _one_line(value: str | None, source: str) -> str | None:
@@ -276,6 +295,28 @@ def _cmd_maw(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _step_entry(ap: DeltaReport, de: DeltaReport, sigma: int, fmt: str, per_step: bool) -> tuple:
+    """A step's value in the per-slide verdict memo, from one ``check_step`` per report.
+
+    The step's all-satisfied flag; its row with the step index and the fused
+    delta left open, as csv cells to fill or, in json, as a template that
+    takes them in sorted column order (delta first); and, for --per-step
+    json, the two reports' rendered verdict lists.  All of it follows from
+    the two reports' ``verdict_inputs`` (an append deletes exactly one word).
+    """
+    ap_verdicts, de_verdicts = check_step(ap, sigma), check_step(de, sigma)
+    verdicts = ap_verdicts + de_verdicts
+    row = None
+    if fmt != "text":
+        cells = ["%s", ap.d, ap.sigma_window, ap.sigma_ext, len(ap.deleted), *ap.type_counts, "%s"]
+        cells += ["null" if fmt == "json" else ""] * len(BoundId)
+        for v in verdicts:
+            cells[_BOUND_CELL[v.bound_id]] = v.slack
+        row = _SLIDE_ROW % _SORTED_CELLS(cells) if fmt == "json" else cells
+    texts = (_verdicts_text(ap_verdicts), _verdicts_text(de_verdicts)) if fmt == "json" and per_step else (None, None)
+    return all(v.satisfied for v in verdicts), row, *texts
+
+
 def _cmd_slide(args: argparse.Namespace) -> int:
     text = _read_text(args)
     alphabet = _resolve_alphabet(args, text)
@@ -289,34 +330,36 @@ def _cmd_slide(args: argparse.Namespace) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n") if args.format == "csv" else None
     if writer is not None:
         writer.writerow(_SLIDE_COLUMNS)
-    unchecked = ["null" if as_json else ""] * len(BoundId)
     sizes: list[int] | None = [] if as_json or (args.per_step and writer is None) else None
     rows = _Items()
     step_items = _Items() if as_json and args.per_step else None
+    # _step_entry of each distinct pair of verdict_inputs, for this slide only.
+    memo: dict[tuple, tuple] = {}
     total = sigma_max = 0
     all_ok = True
     for i, (fused, ap, de) in enumerate(steps):
-        ap_verdicts, de_verdicts = check_step(ap, sigma), check_step(de, sigma)
+        key = verdict_inputs(ap), verdict_inputs(de)
+        entry = memo.get(key)
+        if entry is None:
+            entry = _step_entry(ap, de, sigma, args.format, args.per_step)
+            if len(memo) < _MEMO_ENTRIES:
+                memo[key] = entry
+        ok, row, ap_text, de_text = entry
+        all_ok = all_ok and ok
         sigma_max = max(sigma_max, ap.sigma_window, de.sigma_window)
         total += fused
         if sizes is not None:
             sizes.append(fused)
-        verdicts = ap_verdicts + de_verdicts
-        all_ok = all_ok and all(v.satisfied for v in verdicts)
-        if writer is not None or as_json:
-            cells = [i, args.window, ap.sigma_window, ap.sigma_ext, len(ap.deleted), *ap.type_counts, fused]
-            cells += unchecked
-            for v in verdicts:
-                cells[_BOUND_CELL[v.bound_id]] = v.slack
-            if writer is not None:
-                writer.writerow(cells)
-            else:
-                rows += (_ITEM_SEP, _SLIDE_ROW % _SORTED_CELLS(cells))
+        if writer is not None:
+            row[_STEP_CELL], row[_DELTA_CELL] = i, fused
+            writer.writerow(row)
+        elif as_json:
+            rows += (_ITEM_SEP, row % (fused, i))
         if step_items is not None:
             step_items += (_ITEM_SEP, _STEP_OPEN)
-            _render_report(ap, ap_verdicts, step_items)
+            _render_report(ap, ap_text, step_items)
             step_items.append(_STEP_MID)
-            _render_report(de, de_verdicts, step_items)
+            _render_report(de, de_text, step_items)
             step_items.append(_STEP_TAIL % (fused, i))
 
     totals_verdicts = total_verdicts(len(text), args.window, total, sigma_max, sigma)

@@ -98,7 +98,12 @@ it comes from the literal differences.
 
 Both kinds of source feed the same report builders, which take r and the
 sigma counts from their caller (``append_delta`` and ``delete_delta``
-compute them from their window) and sort each changed-word list once.
+compute them from their window).  A builder sorts its multi-word side once
+(``canonical_words``), then one pass over the sorted words judges each with
+``classify_added`` and collects the judged Type-3 words in that order, and
+``type3_injection`` checks those words as given, with no second sort.  On a
+delete the judged words are the mirror words, so they come in the order of
+their forward words.  A report is a ``NamedTuple``, as a verdict is.
 
 The two window statistics of the prior per-step bound (Crochemore et al.,
 Inf. Comput. 2020), for an append of alpha to W:
@@ -122,7 +127,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
     Alphabet,
@@ -144,6 +149,9 @@ class MawType(IntEnum):
     def label(self) -> str:
         return f"m{self.value}"
 
+
+# The members as module globals: reading a member off an enum class is slow on Python 3.11.
+_TYPE1, _TYPE2, _TYPE3 = MawType
 
 _ENUMERATORS = {
     "automaton": enumerate_maws_fast,
@@ -211,9 +219,8 @@ def _step_words(engine: str | MawEngine, alphabet: Alphabet) -> Callable[[str], 
     return engine.words
 
 
-@dataclass(frozen=True)
-class DeltaReport:
-    """Full record of one slide step.
+class DeltaReport(NamedTuple):
+    """Full record of one slide step, immutable like every tuple.
 
     ``d`` and ``sigma_window`` always refer to the short (length-d) window of
     the step, and ``sigma_ext`` to the extended (d+1)-length string, for both
@@ -251,7 +258,7 @@ class DeltaReport:
     @property
     def type_counts(self) -> tuple[int, int, int]:
         by_type = self.added_by_type
-        return len(by_type[MawType.TYPE1]), len(by_type[MawType.TYPE2]), len(by_type[MawType.TYPE3])
+        return len(by_type[_TYPE1]), len(by_type[_TYPE2]), len(by_type[_TYPE3])
 
     @property
     def alpha_occurs(self) -> bool:
@@ -291,7 +298,7 @@ def classify_added(word: str, pre_window: str) -> MawType:
     the append, so it cannot be an added one.
     """
     if len(word) == 1:
-        return MawType.TYPE1
+        return _TYPE1
     suffix_occurs = word[1:] in pre_window
     prefix_occurs = word[:-1] in pre_window
     if suffix_occurs and prefix_occurs:
@@ -299,10 +306,10 @@ def classify_added(word: str, pre_window: str) -> MawType:
             f"{word!r} has both proper parts occurring in {pre_window!r}; it is not an added MAW"
         )
     if suffix_occurs:
-        return MawType.TYPE2
+        return _TYPE2
     if prefix_occurs:
-        return MawType.TYPE3
-    return MawType.TYPE1
+        return _TYPE3
+    return _TYPE1
 
 
 def type3_injection(m3: list[str] | tuple[str, ...], pre_window: str) -> dict[str, int]:
@@ -311,17 +318,18 @@ def type3_injection(m3: list[str] | tuple[str, ...], pre_window: str) -> dict[st
     Asserts the map is injective with range within [0, d-2], and within
     [1, d-2] when the extended window uses exactly two distinct symbols.
     Violations raise :class:`TheoremViolationError` (campaign-level alarm).
+    The words are checked in the order given, with no sort: a report passes
+    them in the order of its sorted word list, and an error names the first
+    offending word in that order.
     """
     if not m3:
         return {}
     d = len(pre_window)
     mapping: dict[str, int] = {}
     used: dict[int, str] = {}
-    alpha: str | None = None
-    for word in canonical_words(m3):
-        if alpha is None:
-            alpha = word[-1]
-        elif word[-1] != alpha:
+    alpha = m3[0][-1]
+    for word in m3:
+        if word[-1] != alpha:
             raise ConsistencyError("Type-3 words of one step must share their final symbol")
         prefix = word[:-1]
         pos = pre_window.find(prefix)
@@ -373,12 +381,27 @@ def _not_one_deleted(deleted: Iterable[str], window: str, alpha: str) -> Theorem
     )
 
 
-def _by_type(words: tuple[str, ...], judged: Iterable[str], window: str) -> dict[MawType, tuple[str, ...]]:
-    """``words`` split by the type of the parallel ``judged`` words as added to ``window``; order is kept."""
-    lists: tuple[list[str], ...] = ([], [], [], [])  # indexed by MawType value
+def _by_type(
+    words: tuple[str, ...], judged: Iterable[str], window: str
+) -> tuple[dict[MawType, tuple[str, ...]], list[str]]:
+    """``words`` split by the type of the parallel ``judged`` words as added to ``window``, and the judged Type-3 words.
+
+    One pass in the order of ``words``, which every list keeps.
+    """
+    m1: list[str] = []
+    m2: list[str] = []
+    m3: list[str] = []
+    judged3: list[str] = []
     for word, judged_word in zip(words, judged):
-        lists[classify_added(judged_word, window)].append(word)
-    return {MawType.TYPE1: tuple(lists[1]), MawType.TYPE2: tuple(lists[2]), MawType.TYPE3: tuple(lists[3])}
+        kind = classify_added(judged_word, window)
+        if kind is _TYPE3:
+            m3.append(word)
+            judged3.append(judged_word)
+        elif kind is _TYPE2:
+            m2.append(word)
+        else:
+            m1.append(word)
+    return {_TYPE1: tuple(m1), _TYPE2: tuple(m2), _TYPE3: tuple(m3)}, judged3
 
 
 def _append_report(
@@ -395,20 +418,10 @@ def _append_report(
         raise _not_one_deleted(deleted, window, alpha)
     deleted = tuple(deleted)
     added = canonical_words(added)
-    by_type = _by_type(added, added, window)
-    return DeltaReport(
-        direction="append",
-        before=window,
-        after=window + alpha,
-        d=len(window),
-        sigma_window=sigma_window,
-        sigma_ext=sigma_ext,
-        deleted=deleted,
-        added=added,
-        added_by_type=by_type,
-        injection_witness=type3_injection(by_type[MawType.TYPE3], window),
-        repeat_len=repeat_len,
-        ext_len=len(deleted[0]) - 2,
+    by_type, m3 = _by_type(added, added, window)
+    return DeltaReport(  # positional, in field order: half the cost of keywords
+        "append", window, window + alpha, len(window), sigma_window, sigma_ext, deleted, added, by_type,
+        type3_injection(m3, window), repeat_len, len(deleted[0]) - 2,
     )
 
 
@@ -431,23 +444,13 @@ def _delete_report(
         raise _not_one_deleted((w[::-1] for w in gained), mirror_window, window[0])
     gained = tuple(gained)
     deleted = canonical_words(removed)
-    by_type = _by_type(deleted, [removed[w] for w in deleted], mirror_window)
-    m3 = by_type[MawType.TYPE3]
-    mapping = type3_injection([removed[w] for w in m3], mirror_window)
+    by_type, mirror_m3 = _by_type(deleted, map(removed.__getitem__, deleted), mirror_window)
+    mapping = type3_injection(mirror_m3, mirror_window)
     last = len(mirror_window) - 1
-    return DeltaReport(
-        direction="delete",
-        before=window,
-        after=window[1:],
-        d=len(mirror_window),
-        sigma_window=sigma_window,
-        sigma_ext=sigma_ext,
-        deleted=deleted,
-        added=gained,
-        added_by_type=by_type,
-        injection_witness={w: last - mapping[removed[w]] for w in m3},
-        repeat_len=repeat_len,
-        ext_len=len(gained[0]) - 2,
+    witness = {w: last - mapping[m] for w, m in zip(by_type[_TYPE3], mirror_m3)}
+    return DeltaReport(  # positional, in field order
+        "delete", window, window[1:], len(mirror_window), sigma_window, sigma_ext, deleted, gained, by_type,
+        witness, repeat_len, len(gained[0]) - 2,
     )
 
 

@@ -1,8 +1,13 @@
 """Fixtures shared by several test modules."""
 
+import random
+from itertools import product
+
 import pytest
 
+from mawlab.core import Alphabet
 from mawlab.families import gen_binary_extremal, gen_unary_v, gen_Z
+from mawlab.slide import slide_steps
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +28,31 @@ def family_cells():
             elif 2 <= sigma_w <= d:
                 cells[d, sigma_ext] = gen_Z(d, sigma_w, sigma_ext)
     return cells
+
+
+@pytest.fixture(scope="session")
+def slide_reports():
+    """Every report of every step of a set of slides, as {(direction, before, after): (sigma, report)}.
+
+    The slides: every binary text up to length 10 and every ternary text up
+    to length 6, each at every window length, and a seeded 1000-symbol a-z
+    text at d = 8.  A report is a function of its step, so each step's
+    report is held to be equal to the first one made for that step, and
+    checking the distinct reports checks the reports of every step.
+    """
+    def slides():
+        for symbols, max_n in (("01", 10), ("abc", 6)):
+            for n in range(2, max_n + 1):
+                for tup in product(symbols, repeat=n):
+                    for d in range(1, n):
+                        yield "".join(tup), d, symbols
+        az = "abcdefghijklmnopqrstuvwxyz"
+        yield "".join(random.Random(8).choices(az, k=1000)), 8, az
+
+    reports = {}
+    for text, d, symbols in slides():
+        for _, *step in slide_steps(text, d, Alphabet.of(symbols)):
+            for rep in step:
+                sigma, first = reports.setdefault((rep.direction, rep.before, rep.after), (len(symbols), rep))
+                assert rep == first, (text, d, rep.direction, rep.before)
+    return reports

@@ -9,10 +9,12 @@ from mawlab.bounds import (
     bound_total,
     check_step,
     check_totals,
+    verdict_inputs,
 )
 from mawlab.slide import append_delta, delete_delta, slide_totals
 
 BIN = Alphabet.of("01")
+ABCD = Alphabet.of("abcd")
 
 
 def by_id(verdicts):
@@ -113,6 +115,27 @@ class TestCheckStep:
         assert set(got) == {BoundId.GENERAL_DELETE, BoundId.PRIOR_CROCHEMORE_DELETE}
         assert got[BoundId.GENERAL_DELETE].bound_value == rep.sigma_window + rep.d + 1
         assert all(v.satisfied for v in got.values())
+
+
+class TestVerdictInputs:
+    def test_check_step_reads_nothing_else(self):
+        # Every field verdict_inputs does not read is replaced by junk of the same counts.
+        for rep in (append_delta("cbaaaa", "c", ABCD), delete_delta("cabaaaa", ABCD), append_delta("00111", "0", BIN)):
+            junk = rep._replace(
+                before=None, after=None, injection_witness=None,
+                deleted=("?",) * len(rep.deleted), added=("?",) * len(rep.added),
+                added_by_type={t: ("?",) * len(ws) for t, ws in rep.added_by_type.items()},
+            )
+            assert verdict_inputs(junk) == verdict_inputs(rep)
+            assert check_step(junk, 4) == check_step(rep, 4)
+
+    def test_equal_inputs_give_equal_verdicts_on_every_report(self, slide_reports):
+        seen = {}
+        for sigma, rep in slide_reports.values():
+            key = sigma, verdict_inputs(rep)
+            assert seen.setdefault(key, check_step(rep, sigma)) == check_step(rep, sigma), rep
+        # The key collapses many reports, so the check compares something.
+        assert len(slide_reports) > 5 * len(seen) > 0  # 8250 reports, 804 keys
 
 
 class TestCheckTotals:

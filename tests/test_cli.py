@@ -527,6 +527,81 @@ def test_slide_json_with_unsatisfied_verdicts_equals_the_reference(monkeypatch):
     assert '"GeneralAppend": -' in out and '"GeneralDelete": -' in out
 
 
+def slide_csv_reference(text, d, symbols):
+    """``slide --format csv`` stdout and exit code: the rows of ``slide_json_reference``,
+    which runs a fresh ``check_step`` per report, written by ``csv.writer``."""
+    argv = ["slide", text, "--alphabet", symbols, "--window", str(d), "--format", "json"]
+    code, out = slide_json_reference(text, d, symbols, False, argv)
+    payload = json.loads(out)["payload"]
+    columns = payload["table_columns"]
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(["" if row[col] is None else row[col] for col in columns] for row in payload["table"])
+    return code, expected.getvalue()
+
+
+def run_slide(text, d, symbols, *options):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["slide", text, "--alphabet", symbols, "--window", str(d), *options])
+    return code, out.getvalue(), err.getvalue()
+
+
+_AZ = "abcdefghijklmnopqrstuvwxyz"
+_SLIDE_CASES = [
+    ("abaababaabbab", 4, "ab"),
+    ("".join(random.Random(11).choices("ACGT", k=300)), 3, "ACGT"),
+    ("".join(random.Random(12).choices(_AZ, k=200)), 8, _AZ),
+]
+
+
+@pytest.mark.parametrize("patched", [False, True], ids=["bounds", "unsatisfied"])
+def test_slide_csv_equals_the_reference_rows(monkeypatch, patched):
+    if patched:
+        monkeypatch.setattr(bounds, "bound_general_append", lambda d, sigma_window: 0)
+    for text, d, symbols in _SLIDE_CASES:
+        code, out, err = run_slide(text, d, symbols, "--format", "csv")
+        assert err == ""
+        assert (code, out) == slide_csv_reference(text, d, symbols)
+        assert code == (3 if patched else 0)
+        if patched:
+            assert ",-" in out
+
+
+@pytest.mark.parametrize("entries", [0, 1])
+@pytest.mark.parametrize("options", [("--format", "json", "--per-step"), ("--format", "csv")], ids=["json", "csv"])
+def test_slide_output_does_not_depend_on_the_memo_size(monkeypatch, entries, options):
+    text, d, symbols = _SLIDE_CASES[1]
+    want = run_slide(text, d, symbols, *options)
+    monkeypatch.setattr(cli, "_MEMO_ENTRIES", entries)
+    assert run_slide(text, d, symbols, *options) == want
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of every call of ``module.name`` from now on."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_slide_sorts_twice_per_step_and_checks_each_signature_once(monkeypatch):
+    text, d = "".join(random.Random(13).choices(_AZ, k=1000)), 8
+    signatures = {
+        (bounds.verdict_inputs(ap), bounds.verdict_inputs(de)) for _, ap, de in slide_steps(text, d, Alphabet.of(_AZ))
+    }
+    sorts = count_calls(monkeypatch, slide, "canonical_words")
+    checks = count_calls(monkeypatch, cli, "check_step")
+    assert run_slide(text, d, _AZ, "--format", "json", "--per-step")[0] == 0
+    assert len(sorts) == 2 * (len(text) - d)
+    assert 0 < len(checks) <= 2 * len(signatures) < len(text) - d
+
+
 @pytest.mark.parametrize("symbols", ["ACGT", _SLIDE_SYMBOLS], ids=["dna", "odd"])
 def test_maw_json_and_csv_equal_the_reference_rows(capsys, symbols):
     text = (symbols * 7)[::3] + symbols[::-1]

@@ -131,6 +131,39 @@ class TestInjection:
             type3_injection(["aab"], "aa" * 0 + "bb")
 
 
+class TestReportRecords:
+    def test_fields_are_those_of_the_report_schema_and_frozen(self):
+        assert slide.DeltaReport._fields == (
+            "direction", "before", "after", "d", "sigma_window", "sigma_ext", "deleted", "added",
+            "added_by_type", "injection_witness", "repeat_len", "ext_len",
+        )
+        rep = append_delta("cbaaaa", "c", ABCD)
+        assert isinstance(rep, tuple)
+        with pytest.raises(AttributeError):
+            rep.d = 7
+        assert (rep.delta_size, rep.type_counts, rep.alpha_occurs) == (5, (0, 1, 3), True)
+        assert rep.to_payload()["delta"] == 5
+
+    def test_one_pass_reports_match_the_reference_definitions(self, slide_reports):
+        """Types by ``classify_added`` word by word and witnesses by ``type3_injection`` on the
+        canonically sorted Type-3 words, on the append and on the mirror append of a delete."""
+        for rep in (rep for _, rep in slide_reports.values()):
+            if rep.direction == "append":
+                words, window, judged = rep.added, rep.before, {w: w for w in rep.added}
+            else:
+                words, window = rep.deleted, rep.after[::-1]
+                judged = {w: w[::-1] for w in words}
+            assert words == canonical_words(words), rep
+            want = {t: tuple(w for w in words if classify_added(judged[w], window) is t) for t in MawType}
+            assert rep.added_by_type == want, rep
+            m3 = want[MawType.TYPE3]
+            mapping = type3_injection(canonical_words(judged[w] for w in m3), window)
+            if rep.direction == "append":
+                assert rep.injection_witness == mapping, rep
+            else:
+                assert rep.injection_witness == {w: len(window) - 1 - mapping[judged[w]] for w in m3}, rep
+
+
 class TestDeleteDelta:
     def test_golden_unary(self):
         rep = delete_delta("aa", Alphabet.of("a"))
