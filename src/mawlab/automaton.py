@@ -94,10 +94,6 @@ class SuffixAutomaton:
         self.subject += symbols
         self.last = last
 
-    @property
-    def state_count(self) -> int:
-        return len(self.states)
-
     def maw_words(self, alphabet: Alphabet) -> list[str]:
         """Every MAW of the subject over ``alphabet``, unsorted."""
         subject, states, max_len = self.subject, self.states, self.max_len

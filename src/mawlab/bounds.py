@@ -14,7 +14,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .slide import DeltaReport, SlideSummary
+from .slide import DeltaReport
 
 
 class BoundId(str, Enum):
@@ -133,7 +133,7 @@ def check_step(report: DeltaReport, sigma_global: int) -> tuple[BoundVerdict, ..
             BoundVerdict(BoundId.PRIOR_CROCHEMORE_DELETE, prior, delta),
         )
 
-    alpha_occurs = sigma_window == sigma_ext  # as DeltaReport.alpha_occurs
+    alpha_occurs = sigma_window == sigma_ext  # the appended or deleted symbol occurs in the short window
     verdicts = [
         BoundVerdict(BoundId.GENERAL_APPEND, general, delta),
         BoundVerdict(BoundId.PRIOR_CROCHEMORE_APPEND, prior, delta),
@@ -156,11 +156,6 @@ def check_step(report: DeltaReport, sigma_global: int) -> tuple[BoundVerdict, ..
         if alpha_occurs:
             verdicts.append(BoundVerdict(BoundId.M12_BINARY_COLLIDE, 2, m1 + m2))
     return tuple(verdicts)
-
-
-def check_totals(summary: SlideSummary, sigma_global: int) -> tuple[BoundVerdict, ...]:
-    """Totals-level verdicts for a full slide."""
-    return total_verdicts(summary.text_length, summary.d, summary.total, summary.sigma_max_window, sigma_global)
 
 
 def total_verdicts(n: int, d: int, total: int, sigma_max_window: int, sigma_global: int) -> tuple[BoundVerdict, ...]:

@@ -230,6 +230,8 @@ def gen_total_distinct(
     n: int, d: int, sigma: int, symbols: tuple[str, ...] | None = None
 ) -> FamilyInstance:
     """Cycle of d+1 pairwise distinct symbols; every slide step changes 4d - 2 words."""
+    if d < 1:
+        raise InputError(f"need d >= 1, got d={d}")
     if sigma < d + 1:
         raise InputError(f"need sigma >= d + 1, got sigma={sigma}, d={d}")
     if d >= n:

@@ -41,9 +41,6 @@ class MawSet:
     def __iter__(self):
         return iter(self.words)
 
-    def as_set(self) -> frozenset[str]:
-        return frozenset(self.words)
-
     def to_payload(self) -> dict:
         return {
             "subject_length": self.subject_length,

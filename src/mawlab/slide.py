@@ -22,12 +22,13 @@ therefore mirrored, with prefix and suffix roles swapped.
 Where the differences come from.  ``append_delta`` and ``delete_delta`` take
 literal set differences of two full MAW sets, on an engine name or on a
 ``MawEngine`` and its memo (every campaign).  A slide (``slide_steps`` and
-``slide_totals`` alike) takes an engine name and reads every step off one
-source of differences: literal ones on ``oracle``, derived ones on
-``automaton``, which builds no automaton and no full MAW set.  A derived
-step is one kernel on the step's (d+1)-gram E alone: its inputs are E, the
-symbols of E and two bounds carried from the step before (below), and it
-runs ``find`` tests on E and on reverse(E), nothing else of the text.
+``slide_totals`` alike) takes an engine name and runs one step kernel per
+(d+1)-gram E, ``step(E, symbols of E, carry)``, which returns the step's
+differences and the next step's carry.  On ``oracle`` it takes literal
+differences and carries the next window's set, so a step enumerates E and
+E[1:].  On ``automaton`` it builds no automaton and no full MAW set: it runs
+``find`` tests on E and on reverse(E), nothing else of the text, and carries
+its two L values (below).
 For W, alpha and E = W + alpha, let L be the length of the longest suffix of
 E that occurs in W (a suffix of an occurring word occurs, so the tests are
 monotone in the length).  The words of E absent from W are exactly the
@@ -55,11 +56,10 @@ suffixes of E longer than L, and each of them occurs in E only at its end.
 * Fused size: |MAW(W_i) ^ MAW(W_{i+1})| = |D_app ^ D_del| for the two
   steps' differences D, since (X ^ Y) ^ (Y ^ Z) = X ^ Z.
 
-Each step starts from what the step before it found: the slide carries an
-upper bound on L, min(L_i + 1, d), and a lower bound on the mirror's L,
-max(L'_i - 1, 0), into the next step's kernel; the first step starts from d
-and 0, which hold for every gram.  Write E_i = T[i : i + d + 1] and
-W_i = E_i[:-1], so W_{i+1} = E_i[1:].
+A derived step starts from the step before's L_i and mirror's L'_i: its L
+is at most min(L_i + 1, d) and its mirror's at least max(L'_i - 1, 0).  The
+first step starts from (d, 0), which bound nothing.  Write
+E_i = T[i : i + d + 1] and W_i = E_i[:-1], so W_{i+1} = E_i[1:].
 
 * L_{i+1} <= L_i + 1.  E_{i+1}'s suffix of length m = L_{i+1} occurs in
   W_{i+1} = T[i+1 : i+d+1]; drop the last symbol of that occurrence.  What
@@ -112,11 +112,11 @@ Inf. Comput. 2020), for an append of alpha to W:
   u the longest suffix of W that has an inner occurrence followed by alpha; an
   absent alpha deletes the word ``alpha`` itself, giving -1.
 * ``repeat_len`` = the length of the longest suffix of W that also occurs in
-  W[:-1].  A suffix of a repeated suffix is repeated too, so single steps
-  find the length by a binary search over ``in`` tests; a slide reads it off
-  its (B) loop.  It equals max(0, len(w) - 2 over w in MAW(W) with W ending
-  in w[:-1]): for each symbol c exactly one MAW of W is (suffix of W) + c,
-  and its length minus 2 is the longest suffix followed by c inside W.
+  W[:-1], that is L of W read as a gram, so literal differences find it by
+  the gallop for L; a derived step reads it off its (B) loop.  It equals
+  max(0, len(w) - 2 over w in MAW(W) with W ending in w[:-1]): for each
+  symbol c exactly one MAW of W is (suffix of W) + c, and its length minus 2
+  is the longest suffix followed by c inside W.
 
 A delete report keeps the values of its mirror append, which are the
 prefix-side statistics of the shrunken window with the deleted symbol.
@@ -127,6 +127,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import partial
 from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .core import (
@@ -260,11 +261,6 @@ class DeltaReport(NamedTuple):
         by_type = self.added_by_type
         return len(by_type[_TYPE1]), len(by_type[_TYPE2]), len(by_type[_TYPE3])
 
-    @property
-    def alpha_occurs(self) -> bool:
-        """True when the step's new/removed character already occurs in the short window."""
-        return self.sigma_window == self.sigma_ext
-
     def to_payload(self, verdicts: Iterable = ()) -> dict:
         """The report as JSON-ready data, with the caller's ``verdicts`` on it (see ``bounds.check_step``).
 
@@ -360,16 +356,8 @@ def type3_injection(m3: list[str] | tuple[str, ...], pre_window: str) -> dict[st
 
 
 def _repeat_len(window: str) -> int:
-    """Length of the longest suffix of ``window`` that also occurs in ``window[:-1]``."""
-    head = window[:-1]
-    lo, hi = 0, len(head)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if window[-mid:] in head:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    """Length of the longest suffix of ``window`` that also occurs in ``window[:-1]``: L of ``window`` as a gram."""
+    return _longest_suffix(window, 0, len(window) - 1, True)
 
 
 def _not_one_deleted(deleted: Iterable[str], window: str, alpha: str) -> TheoremViolationError:
@@ -525,13 +513,16 @@ class SlideSummary:
         }
 
 
-def _slide_source(text: str, d: int, alphabet: Alphabet, engine: str) -> Callable[[str], tuple[str, ...]] | None:
-    """Check a slide's input; return the word function of the oracle, None for the derived automaton path."""
+def _slide_source(text: str, d: int, alphabet: Alphabet, engine: str) -> tuple[Callable[..., tuple], object]:
+    """Check a slide's input; return its step kernel and its first step's carry (see :func:`_step_differences`)."""
     n = len(text)
     if not 1 <= d < n:
         raise InputError(f"window length must satisfy 1 <= d < n, got d={d}, n={n}")
     alphabet.require_text(text)
-    return None if engine == "automaton" else _enumerator(engine, alphabet)
+    if engine == "automaton":
+        return _derived_step, (d, 0)
+    words = _enumerator(engine, alphabet)
+    return partial(_literal_step, words), set(words(text[:d]))
 
 
 def _sliding_sigmas(text: str, d: int) -> Iterator[tuple[Counter[str], int, int, int]]:
@@ -608,26 +599,35 @@ def _append_change(ext: str, symbols: Iterable[str], L: int) -> tuple[str, set[s
     return deleted, added, d - 1
 
 
-def _derived_step(ext: str, symbols: Iterable[str], L_hi: int, mirror_lo: int) -> tuple:
+def _derived_step(ext: str, symbols: Iterable[str], carry: tuple[int, int]) -> tuple:
     """Both directions of the step whose (d+1)-gram is ``ext``, from ``find`` tests on the gram and its reversal.
 
-    ``symbols`` are the symbols of ``ext``.  L, the length of the longest
-    suffix of ``ext`` that occurs in ``ext[:-1]``, is known to be at most
-    ``L_hi``, and the mirror's L, the same length for ``ext[::-1]``, at least
-    ``mirror_lo``; d and 0 hold for every gram.  Returns ``ext[::-1]``, the
-    six differences and r values that :func:`_step_differences` yields, and
-    the two L values found.
+    ``symbols`` are the symbols of ``ext`` and ``carry`` is the step before's
+    (L, mirror's L), or (d, 0); L is the length of the longest suffix of
+    ``ext`` that occurs in ``ext[:-1]``, the mirror's L the same for
+    ``ext[::-1]``.  Returns ``ext[::-1]``, the six differences and r values
+    that :func:`_step_differences` yields, and this step's (L, mirror's L).
     """
     d = len(ext) - 1
     mirror = ext[::-1]
-    L = _longest_suffix(ext, 0, L_hi, False)
+    L, mirror_L = carry
+    L = _longest_suffix(ext, 0, min(L + 1, d), False)
     gone, new, r = _append_change(ext, symbols, L)
-    mirror_L = _longest_suffix(mirror, mirror_lo, d, True)
+    mirror_L = _longest_suffix(mirror, max(mirror_L - 1, 0), d, True)
     mirror_gone, mirror_new, mirror_r = _append_change(mirror, symbols, mirror_L)
-    return mirror, (gone,), new, r, (mirror_gone[::-1],), {w[::-1]: w for w in mirror_new}, mirror_r, L, mirror_L
+    return mirror, (gone,), new, r, (mirror_gone[::-1],), {w[::-1]: w for w in mirror_new}, mirror_r, (L, mirror_L)
 
 
-def _step_differences(text: str, d: int, words: Callable[[str], tuple[str, ...]] | None) -> Iterator[tuple]:
+def _literal_step(words: Callable[[str], tuple[str, ...]], ext: str, symbols: object, before: set[str]) -> tuple:
+    """:func:`_derived_step`'s output from literal differences of ``words``' sets; it carries MAW(``ext[1:]``)."""
+    ext_words, after = set(words(ext)), set(words(ext[1:]))
+    return (
+        ext[::-1], before - ext_words, ext_words - before, _repeat_len(ext[:-1]),
+        after - ext_words, {w: w[::-1] for w in ext_words - after}, _repeat_len(ext[:0:-1]), after,
+    )
+
+
+def _step_differences(text: str, d: int, step: Callable[..., tuple], carry: object) -> Iterator[tuple]:
     """Per step i, with E_i = ``text[i : i + d + 1]``, W_i = E_i[:-1] and W_{i+1} = E_i[1:]:
 
     E_i, its reversal, MAW(W_i) - MAW(E_i), MAW(E_i) - MAW(W_i), r(W_i),
@@ -635,28 +635,14 @@ def _step_differences(text: str, d: int, words: Callable[[str], tuple[str, ...]]
     to its reversal, r(reverse W_{i+1}), sigma(W_i), sigma(E_i) and
     sigma(W_{i+1}); r is the length of a window's longest repeated suffix.
 
-    Without ``words`` the differences are derived by :func:`_derived_step`
-    on E_i alone, each direction's L bounded by the step before; with it they
-    are literal differences of the sets it enumerates.
+    The kernel ``step`` and the first ``carry`` come from :func:`_slide_source`;
+    ``step(E_i, symbols of E_i, carry)`` returns E_i's reversal, the six
+    differences and r values above, and the next step's carry.
     """
-    sigmas = _sliding_sigmas(text, d)
-    if words is None:
-        L, mirror_L = d, 0
-        for i, (symbols, *sigma) in enumerate(sigmas):
-            ext = text[i : i + d + 1]
-            *differences, L, mirror_L = _derived_step(ext, symbols, min(L + 1, d), max(mirror_L - 1, 0))
-            yield ext, *differences, *sigma
-        return
-    cur = set(words(text[:d]))
-    for i, (_, sigma_w, sigma_e, sigma_next) in enumerate(sigmas):
+    for i, (symbols, *sigma) in enumerate(_sliding_sigmas(text, d)):
         ext = text[i : i + d + 1]
-        ext_words, nxt = set(words(ext)), set(words(ext[1:]))
-        yield (
-            ext, ext[::-1], cur - ext_words, ext_words - cur, _repeat_len(ext[:-1]),
-            nxt - ext_words, {w: w[::-1] for w in ext_words - nxt}, _repeat_len(ext[:0:-1]),
-            sigma_w, sigma_e, sigma_next,
-        )
-        cur = nxt
+        *differences, carry = step(ext, symbols, carry)
+        yield ext, *differences, *sigma
 
 
 def _fused_size(gone: Collection[str], new: Collection[str], gained: Collection[str], removed: Collection[str]) -> int:
@@ -678,7 +664,7 @@ def slide_totals(
     sizes = []
     sigma_max = 0
     for _, _, gone, new, _, gained, removed, _, sigma_w, _, sigma_next in _step_differences(
-        text, d, _slide_source(text, d, alphabet, engine)
+        text, d, *_slide_source(text, d, alphabet, engine)
     ):
         sizes.append(_fused_size(gone, new, gained, removed))
         sigma_max = max(sigma_max, sigma_w, sigma_next)
@@ -699,13 +685,13 @@ def slide_steps(
     enumerates each string once and holds only one step's sets.  The input is
     checked when this is called, before the first step.
     """
-    return _slide_reports(text, d, _slide_source(text, d, alphabet, engine))
+    return _slide_reports(text, d, *_slide_source(text, d, alphabet, engine))
 
 
 def _slide_reports(
-    text: str, d: int, words: Callable[[str], tuple[str, ...]] | None
+    text: str, d: int, step: Callable[..., tuple], carry: object
 ) -> Iterator[tuple[int, DeltaReport, DeltaReport]]:
-    steps = _step_differences(text, d, words)
+    steps = _step_differences(text, d, step, carry)
     for ext, mirror, gone, new, r, gained, removed, mirror_r, sigma_w, sigma_e, sigma_next in steps:
         yield (
             _fused_size(gone, new, gained, removed),

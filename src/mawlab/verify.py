@@ -12,7 +12,9 @@ Reports are deterministic for a fixed config (the wall clock is kept out of
 the default payload).  Instances are independent, so the runner can fan out
 over forked processes; results are merged in task order, which keeps the
 report schedule-independent.  Only a failure to start the pool falls back to
-a serial run; an error raised by a task propagates.
+a serial run.  An error raised by a task propagates: a pool worker returns
+it as the task's result, and the parent raises the first one in task order
+once the pool has finished and shut down.
 
 MAW sets are memoised per worker, each as an unsorted tuple of words; only
 the engine comparison sorts, once per compared string, so a repeated word
@@ -390,23 +392,44 @@ def _start_pool(workers: int):
         return None
 
 
+def _pool_task(task: tuple[str, str, bool]) -> object:
+    """:func:`_process_task` in a pool worker: a task's error is returned, with its traceback, not raised."""
+    try:
+        return _process_task(task)
+    except Exception as exc:
+        from multiprocessing.pool import ExceptionWithTraceback  # what a raising pool task would send
+
+        return ExceptionWithTraceback(exc, exc.__traceback__)
+
+
 def _execute(tasks: list[tuple[str, str, bool]], config: CampaignConfig) -> CampaignReport:
     started = time.perf_counter()
     merged = _TaskResult()
     workers = _effective_workers(config)
     _init_worker(config)
     pool = _start_pool(workers) if workers > 1 and len(tasks) > 64 else None
+    error = None
     try:
         if pool is None:
             parts = map(_process_task, tasks)
         else:
-            parts = pool.imap(_process_task, tasks, chunksize=max(16, len(tasks) // (workers * 8)))
+            parts = pool.imap(_pool_task, tasks, chunksize=max(16, len(tasks) // (workers * 8)))
         for part in parts:
-            merged.merge(part)
-    finally:
+            if isinstance(part, Exception):
+                error = error or part
+            elif error is None:
+                merged.merge(part)
+    except BaseException:
         if pool is not None:
             pool.terminate()
+        raise
+    finally:
         _WORKER.clear()
+    if pool is not None:
+        pool.close()
+        pool.join()
+    if error is not None:
+        raise error
 
     tightness_rows = tuple(
         {"d": d, "sigma_ext": se, "max_delta": val[0], "witness": val[1]}

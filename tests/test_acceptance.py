@@ -17,7 +17,7 @@ from itertools import product
 import pytest
 
 from mawlab.core import Alphabet
-from mawlab.bounds import BoundId, bound_total, check_totals
+from mawlab.bounds import BoundId, bound_total, total_verdicts
 from mawlab.families import (
     gen_alternating,
     gen_total_distinct,
@@ -71,11 +71,11 @@ def test_criterion_1_golden_examples():
     abc = Alphabet.of("abc")
     abcd = Alphabet.of("abcd")
 
-    assert enumerate_maws_naive("abaab", abc).as_set() == {"aaa", "aaba", "bab", "bb", "c"}
-    assert enumerate_maws_naive("cbaaaa", abcd).as_set() == {
+    assert set(enumerate_maws_naive("abaab", abc).words) == {"aaa", "aaba", "bab", "bb", "c"}
+    assert set(enumerate_maws_naive("cbaaaa", abcd).words) == {
         "cc", "bb", "aaaaa", "bc", "ab", "ca", "ac", "d",
     }
-    assert enumerate_maws_naive("cbaaaac", abcd).as_set() == {
+    assert set(enumerate_maws_naive("cbaaaac", abcd).words) == {
         "cc", "bb", "aaaaa", "bc", "ab", "ca", "acb", "bac", "baac", "baaac", "d",
     }
 
@@ -227,9 +227,7 @@ def test_criterion_6_totals():
     assert inst.params["k"] == 4
     i = inst.step_index
     w1, w2 = inst.text[i : i + 9], inst.text[i + 1 : i + 10]
-    diff = enumerate_maws_naive(w1, inst.alphabet).as_set() ^ enumerate_maws_naive(
-        w2, inst.alphabet
-    ).as_set()
+    diff = set(enumerate_maws_naive(w1, inst.alphabet).words) ^ set(enumerate_maws_naive(w2, inst.alphabet).words)
     assert diff == {
         "b", "aac", "cac", "dac", "ac", "ba", "bb", "bc", "bd",
         "cb", "cab", "caab", "caaab", "db", "dab", "daab",
@@ -243,7 +241,10 @@ def test_criterion_6_totals():
     for summary, alphabet in summaries:
         cap = bound_total(summary.text_length, summary.d, summary.sigma_max_window)
         assert summary.total <= cap
-        assert all(v.satisfied for v in check_totals(summary, alphabet.size))
+        verdicts = total_verdicts(
+            summary.text_length, summary.d, summary.total, summary.sigma_max_window, alphabet.size
+        )
+        assert all(v.satisfied for v in verdicts)
 
     assert time.perf_counter() - started < 60.0
 

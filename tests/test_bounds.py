@@ -8,7 +8,7 @@ from mawlab.bounds import (
     bound_prior_append,
     bound_total,
     check_step,
-    check_totals,
+    total_verdicts,
     verdict_inputs,
 )
 from mawlab.slide import append_delta, delete_delta, slide_totals
@@ -142,13 +142,13 @@ class TestCheckTotals:
     def test_certified_on_families(self):
         ab = Alphabet.of("ab")
         summary = slide_totals("ab" * 30, 6, ab)
-        verdicts = by_id(check_totals(summary, sigma_global=2))
+        verdicts = by_id(total_verdicts(60, 6, summary.total, summary.sigma_max_window, sigma_global=2))
         assert verdicts[BoundId.TOTAL_D_N].satisfied
         assert verdicts[BoundId.TOTAL_SIGMA_N].satisfied
 
         abc = Alphabet.of("abc")
         summary = slide_totals("abcabcabcabc", 2, abc)
-        verdicts = by_id(check_totals(summary, sigma_global=3))
+        verdicts = by_id(total_verdicts(12, 2, summary.total, summary.sigma_max_window, sigma_global=3))
         assert set(summary.per_step) == {6}
         assert verdicts[BoundId.TOTAL_D_N].satisfied
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from mawlab import __version__, bounds, cli, slide, verify
 from mawlab.automaton import SuffixAutomaton
-from mawlab.bounds import check_step, check_totals
+from mawlab.bounds import check_step, total_verdicts
 from mawlab.cli import main
 from mawlab.core import Alphabet, ConsistencyError, InputError, TheoremViolationError
 from mawlab.slide import SlideSummary, slide_steps
@@ -146,12 +146,18 @@ class TestSlideCommand:
             ("slide", "aaaa", "--window", "0"),
             ("slide", "abz", "--alphabet", "ab", "--window", "1"),
             ("slide", "abab", "--window", "4", "--engine", "oracle"),
+            ("gen-family", "--family", "TotalDistinct", "--n", "5", "--d", "0", "--sigma", "3"),
+            ("gen-family", "--family", "TotalDistinct", "--n", "5", "--d", "-1", "--sigma", "3"),
+            ("gen-family", "--family", "TotalDistinct", "--n", "5", "--d", "-3", "--sigma", "3"),
         ],
-        ids=["window-too-long", "window-zero", "symbol", "window-oracle"],
+        ids=[
+            "window-too-long", "window-zero", "symbol", "window-oracle",
+            "distinct-d0", "distinct-d-1", "distinct-d-3",
+        ],
     )
     def test_csv_input_error_prints_nothing_on_stdout(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--format", "csv")
-        assert (code, out) == (2, "") and err.startswith("error:")
+        assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1
 
     def test_csv_rows_are_written_as_steps_are_made(self, capsys, monkeypatch):
         argv = ("slide", "abaababaabba", "--window", "4", "--format", "csv")
@@ -469,7 +475,7 @@ def slide_json_reference(text, d, symbols, per_step, argv):
         steps.append({"step_index": i, "fused_delta": fused,
                       "append": ap.to_payload(ap_verdicts), "delete": de.to_payload(de_verdicts)})
     summary = SlideSummary(len(text), d, tuple(sizes), sigma_max)
-    totals = check_totals(summary, sigma)
+    totals = total_verdicts(len(text), d, summary.total, sigma_max, sigma)
     payload = summary.to_payload()
     payload["totals_verdicts"] = [v.to_payload() for v in totals]
     payload["table_columns"] = list(cli._SLIDE_COLUMNS)

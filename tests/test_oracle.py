@@ -37,14 +37,14 @@ class TestIsMaw:
 
 class TestEnumerate:
     def test_golden_sets(self):
-        assert enumerate_maws_naive("abaab", ABC).as_set() == {"aaa", "aaba", "bab", "bb", "c"}
-        assert enumerate_maws_naive("cbaaaa", ABCD).as_set() == {
+        assert set(enumerate_maws_naive("abaab", ABC).words) == {"aaa", "aaba", "bab", "bb", "c"}
+        assert set(enumerate_maws_naive("cbaaaa", ABCD).words) == {
             "cc", "bb", "aaaaa", "bc", "ab", "ca", "ac", "d",
         }
-        assert enumerate_maws_naive("cbaaaac", ABCD).as_set() == {
+        assert set(enumerate_maws_naive("cbaaaac", ABCD).words) == {
             "cc", "bb", "aaaaa", "bc", "ab", "ca", "acb", "bac", "baac", "baaac", "d",
         }
-        assert enumerate_maws_naive("0000", BIN).as_set() == {"1", "00000"}
+        assert set(enumerate_maws_naive("0000", BIN).words) == {"1", "00000"}
 
     def test_empty_subject_yields_alphabet(self):
         assert enumerate_maws_naive("", Alphabet.of("ab")).words == ("a", "b")
@@ -60,7 +60,7 @@ class TestEnumerate:
             for tup in product(alphabet.symbols, repeat=n):
                 s = "".join(tup)
                 expected = {w for w in all_words(alphabet.symbols, n + 1) if is_maw(w, s, alphabet)}
-                assert enumerate_maws_naive(s, alphabet).as_set() == expected, s
+                assert set(enumerate_maws_naive(s, alphabet).words) == expected, s
 
     def test_matches_definition_exhaustively_binary(self):
         self.assert_matches_definition(BIN, 8)
@@ -97,15 +97,15 @@ class TestProperties:
         for n in range(0, 11):
             for tup in product("01", repeat=n):
                 s = "".join(tup)
-                fwd = enumerate_maws_naive(s, BIN).as_set()
-                rev = enumerate_maws_naive(s[::-1], BIN).as_set()
+                fwd = set(enumerate_maws_naive(s, BIN).words)
+                rev = set(enumerate_maws_naive(s[::-1], BIN).words)
                 assert {w[::-1] for w in fwd} == rev, s
 
     @settings(max_examples=150)
     @given(st.text(alphabet="abc", max_size=30))
     def test_reversal_duality_random(self, s):
-        fwd = enumerate_maws_naive(s, ABC).as_set()
-        rev = enumerate_maws_naive(s[::-1], ABC).as_set()
+        fwd = set(enumerate_maws_naive(s, ABC).words)
+        rev = set(enumerate_maws_naive(s[::-1], ABC).words)
         assert {w[::-1] for w in fwd} == rev
 
     @settings(max_examples=150)
@@ -123,7 +123,7 @@ class TestProperties:
             assert len(set(s)) == 1  # only a unary subject admits a (n+1)-length MAW
 
     def test_unary_attains_max_length(self):
-        maws = enumerate_maws_naive("aaaa", Alphabet.of("ab")).as_set()
+        maws = set(enumerate_maws_naive("aaaa", Alphabet.of("ab")).words)
         assert "aaaaa" in maws
 
 

@@ -141,7 +141,7 @@ class TestReportRecords:
         assert isinstance(rep, tuple)
         with pytest.raises(AttributeError):
             rep.d = 7
-        assert (rep.delta_size, rep.type_counts, rep.alpha_occurs) == (5, (0, 1, 3), True)
+        assert (rep.delta_size, rep.type_counts, rep.sigma_window == rep.sigma_ext) == (5, (0, 1, 3), True)
         assert rep.to_payload()["delta"] == 5
 
     def test_one_pass_reports_match_the_reference_definitions(self, slide_reports):
@@ -246,8 +246,8 @@ class TestSlideTotals:
             d = len(text) - 1
         summary = slide_totals(text, d, BIN)
         for i, size in enumerate(summary.per_step):
-            lhs = enumerate_maws_naive(text[i : i + d], BIN).as_set()
-            rhs = enumerate_maws_naive(text[i + 1 : i + d + 1], BIN).as_set()
+            lhs = set(enumerate_maws_naive(text[i : i + d], BIN).words)
+            rhs = set(enumerate_maws_naive(text[i + 1 : i + d + 1], BIN).words)
             assert size == len(lhs ^ rhs)
 
 
@@ -322,6 +322,33 @@ class TestSlideSteps:
             list(slide_steps("aaaa", 4, Alphabet.of("a")))
         with pytest.raises(InputError):
             list(slide_steps("abz", 1, Alphabet.of("ab")))
+
+    def test_slides_take_engine_names_only(self):
+        # A slide never holds a caller's memo, which grows with every window it sees.
+        engine = MawEngine(BIN)
+        with pytest.raises(InputError, match="unknown engine"):
+            slide_steps("0110", 2, BIN, engine)
+        with pytest.raises(InputError, match="unknown engine"):
+            slide_totals("0110", 2, BIN, engine)
+
+    @pytest.mark.parametrize("d", [3, 20])
+    def test_oracle_slide_enumerates_two_strings_per_step(self, monkeypatch, d):
+        # The literal kernel carries MAW(W_{i+1}) to the next step, so a slide
+        # enumerates W_0 once and then E_i and W_{i+1} per step: 2(n - d) + 1.
+        text = "".join(random.Random(d).choices("ACGT", k=80))
+        alphabet = Alphabet.of("ACGT")
+        real, subjects = slide._ENUMERATORS["oracle"], []
+
+        def counted(subject, alphabet):
+            subjects.append(subject)
+            return real(subject, alphabet)
+
+        monkeypatch.setitem(slide._ENUMERATORS, "oracle", counted)
+        want = 2 * (len(text) - d) + 1
+        assert len(list(slide_steps(text, d, alphabet, "oracle"))) == len(text) - d
+        assert len(subjects) == want
+        slide_totals(text, d, alphabet, "oracle")
+        assert len(subjects) == 2 * want
 
 
 def assert_memo_is_exact(engine, subject, alphabet):
@@ -512,7 +539,8 @@ def test_derivation_find_calls_within_the_cost_bound(monkeypatch, text, d):
     monkeypatch.setattr(slide, "_longest_suffix", counted_search)
     monkeypatch.setattr(slide, "_derived_step", counted_step)
     n, steps = len(text), len(text) - d
-    assert len(list(slide._step_differences(text, d, None))) == steps
+    source = slide._slide_source(text, d, Alphabet.of(sorted(set(text))), "automaton")
+    assert len(list(slide._step_differences(text, d, *source))) == steps
     assert log.step == steps - 1
     per_step_l = 2 * math.ceil(math.log2(d + 1))
     totals = Counter()
@@ -549,7 +577,7 @@ def test_derived_step_matches_oracle_on_every_gram_up_to_renaming():
     assert len(grams) == 5294
     for ext in grams:
         d = len(ext) - 1
-        mirror, gone, new, r, gained, removed, mirror_r, L, mirror_L = slide._derived_step(ext, set(ext), d, 0)
+        mirror, gone, new, r, gained, removed, mirror_r, (L, mirror_L) = slide._derived_step(ext, set(ext), (d, 0))
         assert mirror == ext[::-1]
         assert (L, mirror_L) == (longest_suffix_in(ext, ext[:-1]), longest_suffix_in(mirror, mirror[:-1])), ext
         ap = append_delta(ext[:-1], ext[-1], alphabet, "oracle")
@@ -581,7 +609,7 @@ def test_carried_facts_match_their_definitions(text, d, symbols):
     # reports equal the single-step reports of an automaton MawEngine.
     alphabet = Alphabet.of(symbols)
     sigma = alphabet.size
-    steps = list(slide._step_differences(text, d, None))
+    steps = list(slide._step_differences(text, d, *slide._slide_source(text, d, alphabet, "automaton")))
     assert len(steps) == len(text) - d
     for i, (ext, mirror, gone, _, r, gained, _, mirror_r, sigma_w, sigma_e, sigma_next) in enumerate(steps):
         assert (ext, mirror) == (text[i : i + d + 1], text[i : i + d + 1][::-1]), i
@@ -604,3 +632,14 @@ def test_carried_facts_match_their_definitions(text, d, symbols):
     summary = slide_totals(text, d, alphabet)
     assert summary.per_step == tuple(size for size, _, _ in walk)
     assert summary.sigma_max_window == max(len(set(text[i : i + d])) for i in range(len(text) - d + 1))
+
+
+def test_single_step_repeat_len_matches_its_definition_exhaustive_binary():
+    # r of every binary window up to length 12: on an append of that window,
+    # and on a delete whose shrunken window is its reversal.
+    engine = MawEngine(BIN)
+    for n in range(1, 13):
+        for tup in product("01", repeat=n):
+            window = "".join(tup)
+            assert append_delta(window, "1", BIN, engine).repeat_len == repeat_len(window), window
+            assert delete_delta("0" + window[::-1], BIN, engine).repeat_len == repeat_len(window), window

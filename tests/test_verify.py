@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -300,6 +302,39 @@ class TestRunner:
         with pytest.raises(ValueError, match="task failed"):
             run_exhaustive(small_exhaustive(max_len=6, workers=2))  # 126 tasks, enough for a pool
         assert parent_calls == []
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a worker pool")
+    def test_task_error_from_the_pool_never_hangs(self):
+        # The raising campaign above, 100 times over two child processes, each
+        # under a timeout: every run ends with the task's error.
+        child = (
+            "from mawlab import verify\n"
+            "def broken(*args):\n"
+            "    raise ValueError('task failed')\n"
+            "verify._run_append_step = broken\n"
+            "config = verify.CampaignConfig(mode='exhaustive', sigmas=(2,), min_len=1, max_len=6, "
+            "engine='both', workers=2)\n"
+            "for _ in range(50):\n"
+            "    try:\n"
+            "        verify.run_exhaustive(config)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(verify.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "MAWLAB_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        procs = [
+            subprocess.Popen([sys.executable, "-c", child], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            for _ in range(2)
+        ]
+        try:
+            outs = [proc.communicate(timeout=120) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait()
+        for proc, (out, err) in zip(procs, outs):
+            assert (proc.returncode, out, err) == (0, b"task failed\n" * 50, b"")
 
     def test_pool_failure_falls_back_to_serial_on_stderr(self, monkeypatch, capsys):
         import multiprocessing
