@@ -30,6 +30,12 @@ every MAW of length >= 2 exactly once; ``maw_words`` returns them, with the
 absent symbols, in scan order, and :func:`enumerate_maws_fast` sorts them.
 Every out-symbol of q is one of its link's, so a state whose link has no more
 out-symbols than it has contributes nothing.
+
+The scan reads out-symbols, suffix links, lengths and end positions, never a
+transition.  So the one-shot :func:`enumerate_maws_fast` frees the
+``targets`` column before it scans and drops the automaton before it sorts:
+its peak is the larger of the automaton alone and the automaton without
+transitions plus one list of words, not the automaton plus two lists.
 """
 
 from __future__ import annotations
@@ -113,5 +119,8 @@ class SuffixAutomaton:
 def enumerate_maws_fast(subject: str, alphabet: Alphabet) -> MawSet:
     """Same set, same canonical order as :func:`mawlab.oracle.enumerate_maws_naive`."""
     alphabet.require_text(subject)
-    words = SuffixAutomaton(subject).maw_words(alphabet)
+    automaton = SuffixAutomaton(subject)
+    automaton.targets.clear()
+    words = automaton.maw_words(alphabet)
+    del automaton  # nothing may hold it while the list sorts in place
     return MawSet(len(subject), alphabet, canonical_words(words))

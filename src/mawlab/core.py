@@ -94,8 +94,11 @@ def canonical_words(words: Iterable[str]) -> tuple[str, ...]:
     """Sort words by (length, symbol code) -- the package-wide canonical order.
 
     A stable sort by length of the lexicographically sorted words, both on
-    one list.
+    one list.  A list argument is that list, sorted in place, so a caller
+    that owns its list holds no second copy of it.
     """
-    words = sorted(words)
+    if not isinstance(words, list):
+        words = list(words)
+    words.sort()
     words.sort(key=len)
     return tuple(words)

@@ -207,6 +207,10 @@ class MawEngine:
     def _scan(self, subject: str) -> tuple[str, ...]:
         return tuple(SuffixAutomaton(subject).maw_words(self.alphabet))
 
+    def forget(self, subject: str) -> None:
+        """Drop ``subject``'s words from the memo, if they are there."""
+        self._cache.pop(subject, None)
+
     def clear(self) -> None:
         self._cache.clear()
 

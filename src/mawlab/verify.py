@@ -13,15 +13,17 @@ the default payload).  Instances are independent, so the runner can fan out
 over forked processes; results are merged in task order, which keeps the
 report schedule-independent.  Only a failure to start the pool falls back to
 a serial run.  An error raised by a task propagates: a pool worker returns
-it as the task's result, and the parent raises the first one in task order
-once the pool has finished and shut down.
+it as the task's result, the parent sends no task after it arrives, and it
+raises the first one in task order once the pool has finished and shut down.
 
 MAW sets are memoised per worker, each as an unsorted tuple of words; only
 the engine comparison sorts, once per compared string, so a repeated word
 still shows.  An exhaustive campaign keeps the memo for the whole run, so each
-distinct string is enumerated once per backend.  A random campaign clears the
-memo before each task, because random subjects share almost no strings and a
-campaign-wide memo would grow with ``samples``.  A random task needs five
+distinct string is enumerated once per backend, except the strings one longer
+than ``max_len``: only their own append step reads them, so it drops them
+once it is done.  A random campaign clears the memo before each task, because
+random subjects share almost no strings and a campaign-wide memo would grow
+with ``samples``.  A random task needs five
 sets, S[:-1] and S for the append, S[1:] for the delete, and rev(S[1:]) and
 rev(S) for the reversal check; on the automaton it builds three automata,
 since the automaton of S[:-1] extended by S's last symbol is that of S.
@@ -32,6 +34,7 @@ from __future__ import annotations
 import os
 import random
 import sys
+import threading
 import time
 from dataclasses import dataclass, field, fields
 from itertools import product
@@ -184,13 +187,6 @@ class CampaignReport:
     def ok(self) -> bool:
         return not self.falsifications and not self.engine_mismatches
 
-    def max_delta(self, d: int) -> int:
-        """Maximum observed step size over every tightness row with window length d."""
-        values = [row["max_delta"] for row in self.tightness if row["d"] == d]
-        if not values:
-            raise InputError(f"no tightness data for d={d}")
-        return max(values)
-
     def to_payload(self, include_timing: bool = False) -> dict:
         payload = {
             "config": self.config.to_payload(),
@@ -303,15 +299,19 @@ def _run_append_step(
 ) -> None:
     witness = f"{window}+{alpha}"
     report = _run_step(append_delta, (window, alpha), witness, symbols, config, result)
-    if report is None:
-        return
-    for problem in _structure_violations(report):
-        result.falsifications.append({"kind": "structure", "witness": witness, "detail": problem})
-    result.add_tightness((report.d, report.sigma_ext), report.delta_size, witness)
+    if report is not None:
+        for problem in _structure_violations(report):
+            result.falsifications.append({"kind": "structure", "witness": witness, "detail": problem})
+        result.add_tightness((report.d, report.sigma_ext), report.delta_size, witness)
 
     # An after-string within max_len is some task's subject, compared there.
-    if config.engine == "both" and len(report.after) > config.max_len:
-        _compare_engines(report.after, symbols, result)
+    # A longer one is read by this step alone, so no memo keeps its words.
+    if len(window) >= config.max_len:
+        after = window + alpha
+        if report is not None and config.engine == "both":
+            _compare_engines(after, symbols, result)
+        for eng in _WORKER["engines"].values():
+            eng.forget(after)
 
 
 def _run_delete_step(subject: str, symbols: str, config: CampaignConfig, result: _TaskResult) -> None:
@@ -408,19 +408,36 @@ def _execute(tasks: list[tuple[str, str, bool]], config: CampaignConfig) -> Camp
     workers = _effective_workers(config)
     _init_worker(config)
     pool = _start_pool(workers) if workers > 1 and len(tasks) > 64 else None
-    error = None
+    error: BaseException | None = None
+    if pool is not None:
+        chunksize = max(16, len(tasks) // (workers * 8))
+        # Tasks sent but not yet merged: two chunks per worker.  The pool's
+        # feeder thread runs ``feed`` and stops once an error has arrived.
+        ahead = threading.Semaphore(2 * workers * chunksize)
+
+        def feed() -> Iterator[tuple[str, str, bool]]:
+            for task in tasks:
+                ahead.acquire()
+                if error is not None:
+                    return
+                yield task
+
     try:
         if pool is None:
             parts = map(_process_task, tasks)
         else:
-            parts = pool.imap(_pool_task, tasks, chunksize=max(16, len(tasks) // (workers * 8)))
+            parts = pool.imap(_pool_task, feed(), chunksize)
         for part in parts:
             if isinstance(part, Exception):
                 error = error or part
             elif error is None:
                 merged.merge(part)
-    except BaseException:
+            if pool is not None:
+                ahead.release()
+    except BaseException as exc:
         if pool is not None:
+            error = exc  # wakes the feeder to stop, so the pool can shut down
+            ahead.release()
             pool.terminate()
         raise
     finally:

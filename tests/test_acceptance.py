@@ -154,7 +154,7 @@ def test_criterion_3_binary_exhaustive(binary_sweep):
 
     # Tightness: the maximum observed change equals max(3, d) for every d.
     for d in range(1, 15):
-        assert report.max_delta(d) == max(3, d), d
+        assert max(row["max_delta"] for row in report.tightness if row["d"] == d) == max(3, d), d
 
     assert report.wall_clock < 300.0
 
@@ -291,7 +291,7 @@ def test_criterion_8_asymptotic_claims_substituted(binary_sweep, family_cells):
 
     # Upper side: the certified cap held on the sweep's own extremal steps.
     for d in range(3, 15):
-        assert binary_sweep.max_delta(d) <= max(3, d)
+        assert max(row["max_delta"] for row in binary_sweep.tightness if row["d"] == d) <= max(3, d)
 
     # Lower side: the families keep the total within a constant factor of
     # (n - d) * min(d, sigma), witnessing the growth rate from below.

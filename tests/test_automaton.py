@@ -110,6 +110,24 @@ class TestAutomaton:
             tracemalloc.stop()
         assert held / len(sam.states) < 200, held / len(sam.states)
 
+    def test_enumeration_peaks_near_the_automaton_alone(self):
+        # The scan reads no transition, so the enumerator frees them before it
+        # scans and drops the automaton before it sorts: its peak stays close to
+        # the build's, not the automaton plus the words plus two lists of them.
+        text = "".join(random.Random(11).choices("ACGT", k=20_000))
+        tracemalloc.start()
+        try:
+            sam = SuffixAutomaton(text)
+            del sam
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            maws = enumerate_maws_fast(text, Alphabet.of("ACGT"))
+            enumerate_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(maws) > 0
+        assert enumerate_peak <= 1.15 * build_peak, (enumerate_peak, build_peak)
+
 
 def extension_matches_fresh_build(s, extra, alphabet):
     sam = SuffixAutomaton(s)

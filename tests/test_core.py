@@ -137,6 +137,14 @@ def test_canonical_words_order():
     assert canonical_words(["ba", "b", "ab", "aa", "a"]) == ("a", "b", "aa", "ab", "ba")
 
 
+def test_canonical_words_sorts_a_list_in_place_and_copies_anything_else():
+    words = ["ba", "b", "ab"]
+    assert canonical_words(words) == ("b", "ab", "ba") and words == ["b", "ab", "ba"]
+    unsorted = ("ba", "b", "ab")
+    assert canonical_words(unsorted) == ("b", "ab", "ba") and unsorted == ("ba", "b", "ab")
+    assert canonical_words(w for w in unsorted) == ("b", "ab", "ba")
+
+
 @settings(max_examples=200)
 @given(st.lists(st.text(alphabet="abc", max_size=6), unique=True))
 def test_canonical_words_is_a_strictly_ordered_permutation(words):

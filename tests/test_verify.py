@@ -58,7 +58,8 @@ class TestExhaustive:
         assert report.ok
         assert report.instances == 2 + 4 + 8 + 16 + 32 + 64 + 128
         assert not report.falsifications and not report.engine_mismatches
-        assert report.max_delta(4) == 4 and report.max_delta(2) == 3
+        max_delta = {d: max(row["max_delta"] for row in report.tightness if row["d"] == d) for d in (2, 4)}
+        assert max_delta[4] == 4 and max_delta[2] == 3
 
     def test_ternary_sweep_clean(self):
         report = run_exhaustive(
@@ -262,6 +263,20 @@ class TestRunner:
         )
         assert [m["subject"] for m in report.engine_mismatches] == chosen
 
+    def test_exhaustive_memo_keeps_no_string_longer_than_max_len(self):
+        # An after-string of length max_len + 1 is read by its own append step
+        # alone, so the step drops its words from every backend's memo.
+        config = small_exhaustive(max_len=5)
+        verify._init_worker(config)
+        try:
+            for task in verify._exhaustive_tasks(config):
+                verify._process_task(task)
+            engines = verify._WORKER["engines"].values()
+            lengths = {len(subject) for eng in engines for subject in eng._cache}
+        finally:
+            verify._WORKER.clear()
+        assert len(engines) == 2 and max(lengths) == config.max_len
+
     def test_random_tasks_keep_only_their_own_maw_sets(self, monkeypatch):
         real = verify._process_task
         earlier: list[str] = []
@@ -302,6 +317,35 @@ class TestRunner:
         with pytest.raises(ValueError, match="task failed"):
             run_exhaustive(small_exhaustive(max_len=6, workers=2))  # 126 tasks, enough for a pool
         assert parent_calls == []
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a worker pool")
+    def test_pool_sends_no_task_after_an_error(self, monkeypatch):
+        # The pool's feeder runs at most two chunks per worker (4 * 255 tasks
+        # here) ahead of what the parent has merged and stops at the first
+        # error, so a campaign whose 20th task raises sends about a quarter of
+        # its tasks, however fast they run.
+        class Counted(list):
+            sent = 0
+
+            def __iter__(self):
+                for task in super().__iter__():
+                    Counted.sent += 1
+                    yield task
+
+        config = small_exhaustive(max_len=11, workers=2)
+        tasks = Counted(verify._exhaustive_tasks(config))
+        raising = tasks[19]
+
+        def fake(task):
+            if task == raising:
+                raise ValueError(f"task {task[1]} failed")
+            return verify._TaskResult(subjects=1)
+
+        monkeypatch.setattr(verify, "_process_task", fake)
+        monkeypatch.delenv("MAWLAB_THREADS", raising=False)
+        with pytest.raises(ValueError, match=f"task {raising[1]} failed"):
+            verify._execute(tasks, config)
+        assert len(tasks) == 4094 and 0 < Counted.sent < len(tasks) // 3
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a worker pool")
     def test_task_error_from_the_pool_never_hangs(self):
