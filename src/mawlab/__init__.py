@@ -1,12 +1,12 @@
 """mawlab: minimal absent words, sliding-window change analysis, and bound verification.
 
 The package root holds the names the README imports and the records they
-return; everything else is imported from its submodule (``mawlab.slide``,
+return.  A MAW set is a plain tuple of its words in canonical order.
+Everything else is imported from its submodule (``mawlab.slide``,
 ``mawlab.bounds``, ``mawlab.verify``, ...).
 """
 
 from .core import Alphabet, ConsistencyError, InputError, TheoremViolationError
-from .oracle import MawSet
 from .automaton import enumerate_maws_fast
 from .slide import DeltaReport, SlideSummary, append_delta, slide_totals
 
@@ -17,7 +17,6 @@ __all__ = [
     "ConsistencyError",
     "DeltaReport",
     "InputError",
-    "MawSet",
     "SlideSummary",
     "TheoremViolationError",
     "append_delta",

@@ -26,16 +26,18 @@ length >= 2 is a MAW exactly when a+u is the *shortest* word of some state q
 (otherwise u sits in the same state and extends identically), u+b is a factor
 (a b-transition exists from q's suffix link) and a+u+b is not (no b-transition
 from q itself).  Scanning every state against its suffix link therefore yields
-every MAW of length >= 2 exactly once; ``maw_words`` returns them, with the
-absent symbols, in scan order, and :func:`enumerate_maws_fast` sorts them.
-Every out-symbol of q is one of its link's, so a state whose link has no more
-out-symbols than it has contributes nothing.
+every MAW of length >= 2 exactly once.  ``maw_words`` returns them, with the
+absent symbols, in scan order.  Every out-symbol of q is one of its link's, so
+a state whose link has no more out-symbols than it has contributes nothing.
 
 The scan reads out-symbols, suffix links, lengths and end positions, never a
-transition.  So the one-shot :func:`enumerate_maws_fast` frees the
-``targets`` column before it scans and drops the automaton before it sorts:
-its peak is the larger of the automaton alone and the automaton without
-transitions plus one list of words, not the automaton plus two lists.
+transition.  :func:`scan_maws` is the one enumeration path: it builds the
+automaton, frees its ``targets`` column, scans, and returns the list with the
+automaton already dropped.  So its peak is the larger of the automaton alone
+and the automaton without transitions plus one list of words.
+:func:`enumerate_maws_fast` sorts that list in place.  Only a caller that
+extends an automaton after scanning it (``slide.MawEngine.words_with_prefix``)
+builds and scans one itself.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from __future__ import annotations
 from itertools import islice
 
 from .core import Alphabet, canonical_words
-from .oracle import MawSet
 
 
 class SuffixAutomaton:
@@ -116,11 +117,14 @@ class SuffixAutomaton:
         return words
 
 
-def enumerate_maws_fast(subject: str, alphabet: Alphabet) -> MawSet:
-    """Same set, same canonical order as :func:`mawlab.oracle.enumerate_maws_naive`."""
-    alphabet.require_text(subject)
+def scan_maws(subject: str, alphabet: Alphabet) -> list[str]:
+    """Every MAW of ``subject`` over ``alphabet``, unsorted, from an automaton freed on return."""
     automaton = SuffixAutomaton(subject)
     automaton.targets.clear()
-    words = automaton.maw_words(alphabet)
-    del automaton  # nothing may hold it while the list sorts in place
-    return MawSet(len(subject), alphabet, canonical_words(words))
+    return automaton.maw_words(alphabet)
+
+
+def enumerate_maws_fast(subject: str, alphabet: Alphabet) -> tuple[str, ...]:
+    """Same words, same canonical order as :func:`mawlab.oracle.enumerate_maws_naive`."""
+    alphabet.require_text(subject)
+    return canonical_words(scan_maws(subject, alphabet))

@@ -221,7 +221,7 @@ def _one_line(value: str | None, source: str) -> str | None:
 def _read_text(args: argparse.Namespace) -> str:
     if args.file is not None:
         try:
-            with open(args.file, "r", encoding="utf-8") as fh:
+            with open(args.file, "r", encoding="utf-8-sig") as fh:
                 text = fh.read().rstrip("\n")
         except OSError as exc:
             raise InputError(f"cannot read {args.file}: {exc}") from None
@@ -276,22 +276,26 @@ def _emit(args: argparse.Namespace, payload: dict | None, alphabet: str | None, 
 def _cmd_maw(args: argparse.Namespace) -> int:
     text = _read_text(args)
     alphabet = _resolve_alphabet(args, text)
-    maw_set = _ENUMERATORS[_resolve_engine(args.engine)](text, alphabet)
+    words = _ENUMERATORS[_resolve_engine(args.engine)](text, alphabet)
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("word", "length"))
-        writer.writerows((w, len(w)) for w in maw_set.words)
+        writer.writerows((w, len(w)) for w in words)
         return EXIT_OK
     payload = None
     if args.format == "json":
-        payload = maw_set.to_payload()
-        # One piece: a MAW set is never empty (some power of a symbol is absent).
-        payload["words"] = _Items([_ITEM_SEP + _ITEM_SEP.join(map(encode_basestring_ascii, maw_set.words))])
-        payload["table_columns"] = ["word", "length"]
-        payload["table"] = _Items(
-            chain.from_iterable((_ITEM_SEP, _MAW_ROW % (len(w), encode_basestring_ascii(w))) for w in maw_set.words)
-        )
-    _emit(args, payload, alphabet.as_str(), [",".join(maw_set.words)])
+        payload = {
+            "subject_length": len(text),
+            "alphabet": alphabet.as_str(),
+            "count": len(words),
+            # One piece: a MAW set is never empty (some power of a symbol is absent).
+            "words": _Items([_ITEM_SEP + _ITEM_SEP.join(map(encode_basestring_ascii, words))]),
+            "table_columns": ["word", "length"],
+            "table": _Items(
+                chain.from_iterable((_ITEM_SEP, _MAW_ROW % (len(w), encode_basestring_ascii(w))) for w in words)
+            ),
+        }
+    _emit(args, payload, alphabet.as_str(), [",".join(words)])
     return EXIT_OK
 
 
@@ -320,7 +324,7 @@ def _step_entry(ap: DeltaReport, de: DeltaReport, sigma: int, fmt: str, per_step
 def _cmd_slide(args: argparse.Namespace) -> int:
     text = _read_text(args)
     alphabet = _resolve_alphabet(args, text)
-    sigma = alphabet.size
+    sigma = len(alphabet)
     steps = slide_steps(text, args.window, alphabet, _resolve_engine(args.engine))
 
     # CSV writes each row as its step is made, and json renders each row (and
@@ -387,7 +391,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         data = PRESETS[args.preset].to_payload()
     if args.config is not None:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(args.config, "r", encoding="utf-8-sig") as fh:
                 overrides = json.load(fh)
         except OSError as exc:
             raise InputError(f"cannot read {args.config}: {exc}") from None

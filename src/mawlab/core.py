@@ -62,10 +62,6 @@ class Alphabet:
             raise InputError("cannot derive an alphabet from an empty text; pass one explicitly")
         return cls(tuple(dict.fromkeys(text)))
 
-    @property
-    def size(self) -> int:
-        return len(self.symbols)
-
     def __len__(self) -> int:
         return len(self.symbols)
 

@@ -22,32 +22,7 @@ not every substring of S.  :func:`is_maw` tests one word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Alphabet, InputError, canonical_words
-
-
-@dataclass(frozen=True)
-class MawSet:
-    """Canonically ordered set of MAWs for one subject string."""
-
-    subject_length: int
-    alphabet: Alphabet
-    words: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __iter__(self):
-        return iter(self.words)
-
-    def to_payload(self) -> dict:
-        return {
-            "subject_length": self.subject_length,
-            "alphabet": self.alphabet.as_str(),
-            "count": len(self.words),
-            "words": list(self.words),
-        }
 
 
 def is_maw(word: str, subject: str, alphabet: Alphabet) -> bool:
@@ -63,8 +38,8 @@ def is_maw(word: str, subject: str, alphabet: Alphabet) -> bool:
     return word[1:] in subject and word[:-1] in subject
 
 
-def enumerate_maws_naive(subject: str, alphabet: Alphabet) -> MawSet:
-    """Enumerate all MAWs by testing factor pairs, one middle length at a time.
+def enumerate_maws_naive(subject: str, alphabet: Alphabet) -> tuple[str, ...]:
+    """All MAWs in canonical order, found by testing factor pairs one middle length at a time.
 
     With F_l the set of factors of length l (F_0 = {""}), the MAWs of length
     l + 2 are the words x·b with x in F_{l+1}, x[1:]·b in F_{l+1} and x·b not
@@ -97,4 +72,4 @@ def enumerate_maws_naive(subject: str, alphabet: Alphabet) -> MawSet:
                     words.append(word)
         middles, factors = factors, longer
 
-    return MawSet(n, alphabet, canonical_words(words))
+    return canonical_words(words)

@@ -137,7 +137,7 @@ from .core import (
     TheoremViolationError,
     canonical_words,
 )
-from .automaton import SuffixAutomaton, enumerate_maws_fast
+from .automaton import SuffixAutomaton, enumerate_maws_fast, scan_maws
 from .oracle import enumerate_maws_naive
 
 
@@ -164,8 +164,7 @@ def _enumerator(engine: str, alphabet: Alphabet) -> Callable[[str], tuple[str, .
     """MAW words of a subject on the engine named ``engine``, with no memo."""
     if engine not in _ENUMERATORS:
         raise InputError(f"unknown engine {engine!r}; expected one of {sorted(_ENUMERATORS)}")
-    enumerate_ = _ENUMERATORS[engine]
-    return lambda subject: enumerate_(subject, alphabet).words
+    return partial(_ENUMERATORS[engine], alphabet=alphabet)
 
 
 class MawEngine:
@@ -205,7 +204,7 @@ class MawEngine:
         cache[subject] = tuple(automaton.maw_words(self.alphabet))
 
     def _scan(self, subject: str) -> tuple[str, ...]:
-        return tuple(SuffixAutomaton(subject).maw_words(self.alphabet))
+        return tuple(scan_maws(subject, self.alphabet))
 
     def forget(self, subject: str) -> None:
         """Drop ``subject``'s words from the memo, if they are there."""

@@ -17,6 +17,7 @@ from mawlab.automaton import SuffixAutomaton
 from mawlab.bounds import check_step, total_verdicts
 from mawlab.cli import main
 from mawlab.core import Alphabet, ConsistencyError, InputError, TheoremViolationError
+from mawlab.oracle import is_maw
 from mawlab.slide import SlideSummary, slide_steps
 
 
@@ -435,6 +436,26 @@ def test_non_utf8_file_exits_2(capsys, tmp_path, argv):
     assert code == 2 and out == "" and err.startswith("error:") and "not UTF-8" in err
 
 
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (("maw", "--file"), "ACGT\n"),
+        (("maw", "--alphabet", "ACGT", "--format", "json", "--file"), "ACGT\n"),
+        (("slide", "--window", "3", "--file"), "ACGTTGCA"),
+        (("slide", "--window", "3", "--format", "csv", "--alphabet", "ACGT", "--file"), "ACGTTGCA\n"),
+        (("verify", "--format", "json", "--config"), json.dumps({"mode": "exhaustive", "sigmas": [2], "max_len": 4})),
+    ],
+    ids=["maw", "maw-alphabet", "slide", "slide-alphabet", "verify"],
+)
+def test_a_byte_order_mark_is_not_part_of_the_input(capsys, tmp_path, argv, content):
+    path = tmp_path / "input"
+    path.write_text(content, encoding="utf-8")
+    plain = run_cli(capsys, *argv, str(path))
+    path.write_bytes(b"\xef\xbb\xbf" + content.encode("utf-8"))
+    assert run_cli(capsys, *argv, str(path)) == plain
+    assert plain[0] == 0
+
+
 @pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
 @pytest.mark.parametrize(
     "argv, source",
@@ -458,7 +479,7 @@ def slide_json_reference(text, d, symbols, per_step, argv):
     """``slide --format json`` stdout built the way the payload is defined: every step
     and row as a dict (``DeltaReport.to_payload``), the whole envelope through ``json.dumps``."""
     alphabet = Alphabet.of(symbols)
-    sigma = alphabet.size
+    sigma = len(alphabet)
     rows, steps, sizes, sigma_max, ok = [], [], [], 0, True
     for i, (fused, ap, de) in enumerate(slide_steps(text, d, alphabet)):
         ap_verdicts, de_verdicts = check_step(ap, sigma), check_step(de, sigma)
@@ -610,17 +631,27 @@ def test_slide_sorts_twice_per_step_and_checks_each_signature_once(monkeypatch):
 
 @pytest.mark.parametrize("symbols", ["ACGT", _SLIDE_SYMBOLS], ids=["dna", "odd"])
 def test_maw_json_and_csv_equal_the_reference_rows(capsys, symbols):
+    """Text, json and csv of ``maw`` on both engines, against words found by the three-condition test."""
     text = (symbols * 7)[::3] + symbols[::-1]
-    maw_set = slide._ENUMERATORS["automaton"](text, Alphabet.of(symbols))
-    rows = [{"word": w, "length": len(w)} for w in maw_set.words]
-    argv = ["maw", text, "--alphabet", symbols, "--format", "json"]
-    payload = dict(maw_set.to_payload(), table_columns=["word", "length"], table=rows)
-    envelope = {"tool": "mawlab", "version": __version__, "command": argv, "alphabet": symbols, "payload": payload}
-    assert run_cli(capsys, *argv) == (0, json.dumps(envelope, indent=2, sort_keys=True) + "\n", "")
-    code, out, _ = run_cli(capsys, *argv[:-1], "csv")
-    expected = io.StringIO()
-    csv.writer(expected, lineterminator="\n").writerows([["word", "length"], *([w, len(w)] for w in maw_set.words)])
-    assert (code, out) == (0, expected.getvalue())
+    alphabet = Alphabet.of(symbols)
+    factors = {text[i:j] for i in range(len(text)) for j in range(i, len(text) + 1)}
+    words = sorted({x + b for x in factors for b in symbols if is_maw(x + b, text, alphabet)}, key=lambda w: (len(w), w))
+    csv_out = io.StringIO()
+    csv.writer(csv_out, lineterminator="\n").writerows([["word", "length"], *([w, len(w)] for w in words)])
+    for engine in ("auto", "automaton", "oracle"):
+        argv = ["maw", text, "--alphabet", symbols, "--engine", engine, "--format"]
+        payload = {
+            "subject_length": len(text),
+            "alphabet": symbols,
+            "count": len(words),
+            "words": words,
+            "table_columns": ["word", "length"],
+            "table": [{"word": w, "length": len(w)} for w in words],
+        }
+        envelope = {"tool": "mawlab", "version": __version__, "command": argv + ["json"], "alphabet": symbols, "payload": payload}
+        assert run_cli(capsys, *argv, "json") == (0, json.dumps(envelope, indent=2, sort_keys=True) + "\n", ""), engine
+        assert run_cli(capsys, *argv, "csv") == (0, csv_out.getvalue(), ""), engine
+        assert run_cli(capsys, *argv, "text") == (0, ",".join(words) + "\n", ""), engine
 
 
 # In code-point order: gen-family --check compares its expected words in symbol order.

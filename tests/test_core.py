@@ -51,7 +51,7 @@ def brute_stats(window, next_sym=None, prev_sym=None):
 class TestAlphabet:
     def test_basic(self):
         a = Alphabet.of("abc")
-        assert a.size == 3 and "b" in a and "z" not in a
+        assert len(a) == 3 and "b" in a and "z" not in a
         assert list(a) == ["a", "b", "c"]
 
     def test_from_text_first_occurrence_order(self):

@@ -200,7 +200,7 @@ class TestGenerate:
 
     def test_alphabet_sizes(self):
         assert gen_binary_extremal(4).alphabet == Alphabet.of("01")
-        assert gen_Z(3, 2, 4).alphabet.size == 4
+        assert len(gen_Z(3, 2, 4).alphabet) == 4
 
 
 # Every family that takes custom symbols, with parameters whose checks hold.

@@ -37,20 +37,20 @@ class TestIsMaw:
 
 class TestEnumerate:
     def test_golden_sets(self):
-        assert set(enumerate_maws_naive("abaab", ABC).words) == {"aaa", "aaba", "bab", "bb", "c"}
-        assert set(enumerate_maws_naive("cbaaaa", ABCD).words) == {
+        assert set(enumerate_maws_naive("abaab", ABC)) == {"aaa", "aaba", "bab", "bb", "c"}
+        assert set(enumerate_maws_naive("cbaaaa", ABCD)) == {
             "cc", "bb", "aaaaa", "bc", "ab", "ca", "ac", "d",
         }
-        assert set(enumerate_maws_naive("cbaaaac", ABCD).words) == {
+        assert set(enumerate_maws_naive("cbaaaac", ABCD)) == {
             "cc", "bb", "aaaaa", "bc", "ab", "ca", "acb", "bac", "baac", "baaac", "d",
         }
-        assert set(enumerate_maws_naive("0000", BIN).words) == {"1", "00000"}
+        assert set(enumerate_maws_naive("0000", BIN)) == {"1", "00000"}
 
     def test_empty_subject_yields_alphabet(self):
-        assert enumerate_maws_naive("", Alphabet.of("ab")).words == ("a", "b")
+        assert enumerate_maws_naive("", Alphabet.of("ab")) == ("a", "b")
 
     def test_canonical_order(self):
-        words = enumerate_maws_naive("cbaaaa", ABCD).words
+        words = enumerate_maws_naive("cbaaaa", ABCD)
         assert words == ("d", "ab", "ac", "bb", "bc", "ca", "cc", "aaaaa")
         assert list(words) == sorted(words, key=lambda w: (len(w), w))
 
@@ -60,7 +60,7 @@ class TestEnumerate:
             for tup in product(alphabet.symbols, repeat=n):
                 s = "".join(tup)
                 expected = {w for w in all_words(alphabet.symbols, n + 1) if is_maw(w, s, alphabet)}
-                assert set(enumerate_maws_naive(s, alphabet).words) == expected, s
+                assert set(enumerate_maws_naive(s, alphabet)) == expected, s
 
     def test_matches_definition_exhaustively_binary(self):
         self.assert_matches_definition(BIN, 8)
@@ -81,9 +81,9 @@ class TestEnumerate:
         for sigma in (2, 4, 26):
             alphabet = Alphabet.of(letters[:sigma])
             s = "".join(rng.choice(alphabet.symbols) for _ in range(5000))
-            assert enumerate_maws_naive(s, alphabet).words == enumerate_maws_fast(s, alphabet).words, sigma
+            assert enumerate_maws_naive(s, alphabet) == enumerate_maws_fast(s, alphabet), sigma
         for s in ("a" * 400, "abc" * 133 + "a"):
-            assert enumerate_maws_naive(s, ABC).words == enumerate_maws_fast(s, ABC).words, s[:6]
+            assert enumerate_maws_naive(s, ABC) == enumerate_maws_fast(s, ABC), s[:6]
 
     def test_every_emitted_word_is_a_maw(self):
         for s in ("abaab", "cbaaaac", "0110100", "zyzzyva".replace("z", "a").replace("y", "b")):
@@ -97,15 +97,15 @@ class TestProperties:
         for n in range(0, 11):
             for tup in product("01", repeat=n):
                 s = "".join(tup)
-                fwd = set(enumerate_maws_naive(s, BIN).words)
-                rev = set(enumerate_maws_naive(s[::-1], BIN).words)
+                fwd = set(enumerate_maws_naive(s, BIN))
+                rev = set(enumerate_maws_naive(s[::-1], BIN))
                 assert {w[::-1] for w in fwd} == rev, s
 
     @settings(max_examples=150)
     @given(st.text(alphabet="abc", max_size=30))
     def test_reversal_duality_random(self, s):
-        fwd = set(enumerate_maws_naive(s, ABC).words)
-        rev = set(enumerate_maws_naive(s[::-1], ABC).words)
+        fwd = set(enumerate_maws_naive(s, ABC))
+        rev = set(enumerate_maws_naive(s[::-1], ABC))
         assert {w[::-1] for w in fwd} == rev
 
     @settings(max_examples=150)
@@ -123,14 +123,6 @@ class TestProperties:
             assert len(set(s)) == 1  # only a unary subject admits a (n+1)-length MAW
 
     def test_unary_attains_max_length(self):
-        maws = set(enumerate_maws_naive("aaaa", Alphabet.of("ab")).words)
+        maws = set(enumerate_maws_naive("aaaa", Alphabet.of("ab")))
         assert "aaaaa" in maws
 
-
-class TestMawSet:
-    def test_payload(self):
-        ms = enumerate_maws_naive("01", BIN)
-        payload = ms.to_payload()
-        assert payload["words"] == list(ms.words)
-        assert payload["alphabet"] == "01"
-        assert payload["count"] == len(ms)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mawlab import slide
+from mawlab import automaton, slide
 from mawlab.automaton import SuffixAutomaton
 from mawlab.bounds import check_step
 from mawlab.core import Alphabet, ConsistencyError, InputError, TheoremViolationError, canonical_words
@@ -31,7 +31,7 @@ ABCD = Alphabet.of("abcd")
 def walk_payloads(text, d, alphabet, engine):
     """Every step of a slide as (fused size, append payload, delete payload), verdicts included."""
     return [
-        (size, *(r.to_payload(check_step(r, alphabet.size)) for r in (ap, de)))
+        (size, *(r.to_payload(check_step(r, len(alphabet))) for r in (ap, de)))
         for size, ap, de in slide_steps(text, d, alphabet, engine)
     ]
 
@@ -246,8 +246,8 @@ class TestSlideTotals:
             d = len(text) - 1
         summary = slide_totals(text, d, BIN)
         for i, size in enumerate(summary.per_step):
-            lhs = set(enumerate_maws_naive(text[i : i + d], BIN).words)
-            rhs = set(enumerate_maws_naive(text[i + 1 : i + d + 1], BIN).words)
+            lhs = set(enumerate_maws_naive(text[i : i + d], BIN))
+            rhs = set(enumerate_maws_naive(text[i + 1 : i + d + 1], BIN))
             assert size == len(lhs ^ rhs)
 
 
@@ -259,7 +259,7 @@ class TestSlideSteps:
         # Expected reports are memoised per extended window.
         for symbols, max_n in (("01", 10), ("abc", 6)):
             alphabet = Alphabet.of(symbols)
-            sigma = alphabet.size
+            sigma = len(alphabet)
             engine = MawEngine(alphabet)
 
             def payload(rep):
@@ -356,7 +356,7 @@ def assert_memo_is_exact(engine, subject, alphabet):
     for s in (subject[:-1], subject):
         memo = engine._cache[s]
         assert len(set(memo)) == len(memo), s
-        assert canonical_words(memo) == enumerate_maws_naive(s, alphabet).words, s
+        assert canonical_words(memo) == enumerate_maws_naive(s, alphabet), s
 
 
 def count_builds(monkeypatch):
@@ -368,7 +368,9 @@ def count_builds(monkeypatch):
             built.append(subject)
             super().__init__(subject)
 
+    # MawEngine builds in slide (words_with_prefix) and, through scan_maws, in automaton.
     monkeypatch.setattr(slide, "SuffixAutomaton", Counting)
+    monkeypatch.setattr(automaton, "SuffixAutomaton", Counting)
     return built
 
 
@@ -608,7 +610,7 @@ def test_carried_facts_match_their_definitions(text, d, symbols):
     # and the sliding symbol counts) equals its brute-force definition, and its
     # reports equal the single-step reports of an automaton MawEngine.
     alphabet = Alphabet.of(symbols)
-    sigma = alphabet.size
+    sigma = len(alphabet)
     steps = list(slide._step_differences(text, d, *slide._slide_source(text, d, alphabet, "automaton")))
     assert len(steps) == len(text) - d
     for i, (ext, mirror, gone, _, r, gained, _, mirror_r, sigma_w, sigma_e, sigma_next) in enumerate(steps):
